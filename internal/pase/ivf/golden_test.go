@@ -1,0 +1,93 @@
+package ivf_test
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"vecstudy/internal/pg/am"
+)
+
+// golden pins, per access method, the index footprint and an FNV-1a
+// digest over every (TID, Float32bits(Dist)) that Search,
+// SearchFiltered and MultiSearch return for a fixed corpus, seed and
+// knob set. The constants were recorded at the commit before the three
+// IVF packages were folded onto the internal/pase/ivf chassis; they are
+// the cross-commit byte-identity proof the solo-vs-batched parity suites
+// cannot give. Re-record only for a deliberate format or arithmetic
+// change, and say so in CHANGES.md.
+var golden = map[string]struct {
+	size   int64
+	digest uint64
+}{
+	"ivfflat":     {1843200, 0x40ead594ad0ed711},
+	"ivfpq":       {598016, 0x1f94dd3bb4f716ca},
+	"ivfsq8":      {811008, 0xa2e32b7d5cc61d78},
+	"pgv_ivfflat": {1843200, 0xc67fb87d85d563df},
+}
+
+func TestGoldenDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests are recorded on amd64; other targets may fuse multiply-adds")
+	}
+	fx := newFixture(t, 12000, 8192, 2048)
+	qs := queries(99, 6)
+	ks := []int{10, 10, 3, 10, 25, 10}
+	preds := []am.Predicate{nil, fx.predMod(3), nil, fx.predMod(2), fx.predMod(7), nil}
+	knobSets := map[string][]map[string]string{
+		"ivfflat":     {nil, {"heap": "k"}, {"threads": "2"}, {"nprobe": "7", "distance_kernel": "ref"}},
+		"ivfpq":       {nil, {"heap": "k"}, {"threads": "2"}, {"nprobe": "7", "distance_kernel": "ref"}},
+		"ivfsq8":      {nil, {"sq8_rerank": "2"}, {"nprobe": "7", "sq8_rerank": "1", "distance_kernel": "ref"}},
+		"pgv_ivfflat": {nil, {"nprobe": "7", "distance_kernel": "ref"}},
+	}
+	for _, name := range []string{"ivfflat", "ivfpq", "ivfsq8", "pgv_ivfflat"} {
+		ix := fx.build(t, name)
+		size, err := ix.SizeBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		add := func(rows []am.Result) {
+			var b [12]byte
+			binary.LittleEndian.PutUint32(b[0:], uint32(len(rows)))
+			h.Write(b[:4])
+			for _, r := range rows {
+				binary.LittleEndian.PutUint32(b[0:], r.TID.Blk)
+				binary.LittleEndian.PutUint16(b[4:], r.TID.Off)
+				binary.LittleEndian.PutUint32(b[6:], math.Float32bits(r.Dist))
+				h.Write(b[:10])
+			}
+		}
+		for _, knobs := range knobSets[name] {
+			for i, q := range qs {
+				rows, err := ix.Search(q, ks[i], knobs)
+				if err != nil {
+					t.Fatalf("%s %v Search: %v", name, knobs, err)
+				}
+				add(rows)
+				if p := preds[i]; p != nil {
+					rows, err = ix.(am.FilteredIndex).SearchFiltered(q, ks[i], knobs, p)
+					if err != nil {
+						t.Fatalf("%s %v SearchFiltered: %v", name, knobs, err)
+					}
+					add(rows)
+				}
+			}
+			if bi, ok := ix.(am.BatchIndex); ok {
+				multi, err := bi.MultiSearch(qs, ks, knobs, preds)
+				if err != nil {
+					t.Fatalf("%s %v MultiSearch: %v", name, knobs, err)
+				}
+				for _, rows := range multi {
+					add(rows)
+				}
+			}
+		}
+		want := golden[name]
+		if got := h.Sum64(); size != want.size || got != want.digest {
+			t.Errorf("%s: {%d, %#x}, recorded {%d, %#x}", name, size, got, want.size, want.digest)
+		}
+	}
+}

@@ -1,35 +1,18 @@
 // Package ivfflat implements the PASE-style IVF_FLAT index access method
-// on the PostgreSQL substrate. The on-page structure follows the PASE
-// paper: a meta page, centroid pages holding the trained centroid tuples
-// (each with head/tail pointers to its bucket), and per-bucket chains of
-// data pages whose entries pack a heap TID with the raw vector.
-//
-// Faithful PASE behaviours the study measures:
-//
-//   - RC#1: the adding phase assigns vectors with plain scalar distance
-//     loops (no SGEMM batching).
-//   - RC#2: every bucket scan pins pages through the shared buffer pool
-//     and locates entries via line pointers.
-//   - RC#3: intra-query parallelism pushes candidates into one global
-//     lock-guarded heap.
-//   - RC#5: centroids come from the PASE-flavour K-means.
-//   - RC#6: serial top-k uses a size-n collector heap, not a size-k heap.
+// on the PostgreSQL substrate: the internal/pase/ivf chassis (meta page,
+// centroid pages, per-bucket chains of data pages, and every mechanism
+// over them) with the flat codec — each data entry stores the raw
+// float32 vector after its packed heap TID, and payload distances are
+// exact.
 package ivfflat
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
+	"slices"
 
-	"vecstudy/internal/kmeans"
 	"vecstudy/internal/pase"
+	"vecstudy/internal/pase/ivf"
 	"vecstudy/internal/pg/am"
-	"vecstudy/internal/pg/buffer"
-	"vecstudy/internal/pg/heap"
-	"vecstudy/internal/pg/page"
+	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -37,463 +20,92 @@ func init() {
 	am.Register("ivfflat", Build)
 }
 
-// centroid entry layout: vector (dim·4) then bucket bookkeeping.
-const centroidTrailerSize = 16 // firstBlk u32 | lastBlk u32 | count u32 | pad u32
-
-// data entry layout: packed TID (6) + pad (2) so the vector lands
-// MAXALIGN-compatible, then the vector.
-const dataEntryHeaderSize = 8
-
-// metaFormat is item 1 of block 0.
-type meta struct {
-	Dim              uint32
-	NList            uint32
-	FirstCentroidBlk uint32
-	CentroidsPerPage uint32
-}
-
-func encodeMeta(m meta) []byte {
-	b := make([]byte, 16)
-	binary.LittleEndian.PutUint32(b[0:], m.Dim)
-	binary.LittleEndian.PutUint32(b[4:], m.NList)
-	binary.LittleEndian.PutUint32(b[8:], m.FirstCentroidBlk)
-	binary.LittleEndian.PutUint32(b[12:], m.CentroidsPerPage)
-	return b
-}
-
-func decodeMeta(b []byte) meta {
-	return meta{
-		Dim:              binary.LittleEndian.Uint32(b[0:]),
-		NList:            binary.LittleEndian.Uint32(b[4:]),
-		FirstCentroidBlk: binary.LittleEndian.Uint32(b[8:]),
-		CentroidsPerPage: binary.LittleEndian.Uint32(b[12:]),
-	}
-}
-
 // Index is a built PASE IVF_FLAT index.
-type Index struct {
-	ctx  *am.BuildContext
-	meta meta
-
-	// centroidCache holds the centroid vectors read once at open; PASE
-	// similarly keeps centroid buffers pinned during build/search since
-	// access is sequential (the paper notes IVF build does not suffer the
-	// indirection penalty the way HNSW does).
-	centroidCache []float32
-
-	mu sync.Mutex // serializes inserts and deletes
-
-	dead atomic.Int64 // tombstoned entries awaiting Maintain
-
-	stats BuildStats
-}
-
-// BuildStats reports the construction phases of Figs 3–4.
-type BuildStats struct {
-	TrainTime time.Duration
-	AddTime   time.Duration
-	NAdded    int
-}
-
-// Stats returns the build phase timings.
-func (ix *Index) Stats() BuildStats { return ix.stats }
-
-// AM implements am.Index.
-func (ix *Index) AM() string { return "ivfflat" }
-
-// Centroids returns the trained centroid matrix (NList×Dim) — the hook
-// the Fig 15 experiment uses to transplant PASE's clustering into Faiss*.
-func (ix *Index) Centroids() []float32 { return ix.centroidCache }
-
-// NList returns the number of buckets.
-func (ix *Index) NList() int { return int(ix.meta.NList) }
+type Index struct{ *ivf.Index }
 
 // Build trains centroids over the table's vectors and bulk-loads every
 // row into its bucket. Options: clusters (c), sample_ratio (sr),
 // distance_type (0=L2), seed.
 func Build(ctx *am.BuildContext) (am.Index, error) {
-	nlist, err := pase.OptInt(ctx.Opts, "clusters", 256)
+	ix, err := ivf.Build(ctx, &Codec{})
 	if err != nil {
 		return nil, err
 	}
-	sr, err := pase.OptFloat(ctx.Opts, "sample_ratio", 0.01)
-	if err != nil {
-		return nil, err
-	}
-	seed, err := pase.OptInt(ctx.Opts, "seed", 0)
-	if err != nil {
-		return nil, err
-	}
-	if nlist <= 0 {
-		return nil, errors.New("pase/ivfflat: clusters must be positive")
-	}
-
-	// Phase 0: scan the heap to materialize (tid, vector) pairs. PASE's
-	// ambuild does the same underlying table scan through the buffer pool.
-	start := time.Now()
-	var tids []heap.TID
-	data := vec.NewFlat(ctx.Dim, 1024)
-	err = ctx.Table.Scan(func(tid heap.TID, tup []byte) (bool, error) {
-		v, err := ctx.Table.Schema().VectorAt(tup, ctx.VecCol)
-		if err != nil {
-			return false, err
-		}
-		if len(v) != ctx.Dim {
-			return false, fmt.Errorf("pase/ivfflat: row %v has dimension %d, index expects %d", tid, len(v), ctx.Dim)
-		}
-		tids = append(tids, tid)
-		data.Append(v)
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := data.N()
-	if n < nlist {
-		return nil, fmt.Errorf("pase/ivfflat: %d rows cannot form %d clusters", n, nlist)
-	}
-
-	// Training phase: PASE-flavour K-means, naive distance kernels.
-	res, err := kmeans.Train(data.Data, n, ctx.Dim, kmeans.Config{
-		K:           nlist,
-		Seed:        int64(seed),
-		SampleRatio: sr,
-		UseGemm:     false, // RC#1: PASE has no SGEMM path
-		Threads:     1,     // RC#3: PASE builds single-threaded
-		Flavor:      kmeans.FlavorPASE,
-	})
-	if err != nil {
-		return nil, err
-	}
-	trainTime := time.Since(start)
-
-	// Write the index structure: meta page, centroid pages, buckets.
-	addStart := time.Now()
-	ix := &Index{ctx: ctx}
-	if err := ix.initPages(res.Centroids, nlist); err != nil {
-		return nil, err
-	}
-
-	// Adding phase: assign each vector with naive scalar loops and append
-	// it to its bucket through the buffer manager.
-	d := ctx.Dim
-	for i := 0; i < n; i++ {
-		x := data.Data[i*d : (i+1)*d]
-		cid := ix.nearestCentroid(x)
-		if err := ix.appendEntry(cid, x, tids[i]); err != nil {
-			return nil, err
-		}
-	}
-	ix.stats = BuildStats{TrainTime: trainTime, AddTime: time.Since(addStart), NAdded: n}
-	return ix, nil
+	return &Index{ix}, nil
 }
 
-// Open re-binds an existing index relation (e.g., after restart).
-func Open(ctx *am.BuildContext) (am.Index, error) {
-	ix := &Index{ctx: ctx}
-	buf, err := ctx.Pool.Pin(ctx.Rel, 0)
-	if err != nil {
-		return nil, err
-	}
-	item, err := buf.Page().Item(1)
-	if err != nil {
-		buf.Release()
-		return nil, fmt.Errorf("pase/ivfflat: reading meta page: %w", err)
-	}
-	ix.meta = decodeMeta(item)
-	buf.Release()
-	if int(ix.meta.Dim) != ctx.Dim {
-		return nil, fmt.Errorf("pase/ivfflat: index dim %d != table dim %d", ix.meta.Dim, ctx.Dim)
-	}
-	return ix, ix.loadCentroidCache()
-}
+// Codec is the flat ivf.Codec: the payload is the vector itself.
+type Codec struct{ dim int }
 
-// initPages lays out the meta page and centroid pages.
-func (ix *Index) initPages(centroids []float32, nlist int) error {
-	ctx := ix.ctx
-	d := ctx.Dim
-	entrySize := d*4 + centroidTrailerSize
-	usable := ctx.Pool.PageSize() - page.HeaderSize
-	perPage := usable / (entrySize + page.ItemIDSize + page.MaxAlign)
-	if perPage == 0 {
-		return fmt.Errorf("pase/ivfflat: centroid entry of %d bytes does not fit page", entrySize)
-	}
+// Name implements ivf.Codec.
+func (*Codec) Name() string { return "ivfflat" }
 
-	metaBuf, metaBlk, err := ctx.Pool.NewPage(ctx.Rel)
-	if err != nil {
-		return err
-	}
-	if metaBlk != 0 {
-		metaBuf.Release()
-		return fmt.Errorf("pase/ivfflat: meta page allocated at block %d", metaBlk)
-	}
-	page.Init(metaBuf.Page(), 0)
-
-	ix.meta = meta{Dim: uint32(d), NList: uint32(nlist), FirstCentroidBlk: 1, CentroidsPerPage: uint32(perPage)}
-	if _, err := metaBuf.Page().AddItem(encodeMeta(ix.meta)); err != nil {
-		metaBuf.Release()
-		return err
-	}
-	metaBuf.MarkDirty()
-	metaBuf.Release()
-
-	entry := make([]byte, entrySize)
-	written := 0
-	for written < nlist {
-		buf, _, err := ctx.Pool.NewPage(ctx.Rel)
-		if err != nil {
-			return err
-		}
-		page.Init(buf.Page(), 0)
-		for i := 0; i < perPage && written < nlist; i++ {
-			pase.PutFloat32s(entry, centroids[written*d:(written+1)*d])
-			trailer := entry[d*4:]
-			binary.LittleEndian.PutUint32(trailer[0:], pase.InvalidBlk)
-			binary.LittleEndian.PutUint32(trailer[4:], pase.InvalidBlk)
-			binary.LittleEndian.PutUint32(trailer[8:], 0)
-			if _, err := buf.Page().AddItem(entry); err != nil {
-				buf.Release()
-				return err
-			}
-			written++
-		}
-		buf.MarkDirty()
-		buf.Release()
-	}
-	return ix.loadCentroidCache()
-}
-
-// loadCentroidCache reads every centroid vector into memory once.
-func (ix *Index) loadCentroidCache() error {
-	ctx := ix.ctx
-	d := int(ix.meta.Dim)
-	nlist := int(ix.meta.NList)
-	cache := make([]float32, 0, nlist*d)
-	read := 0
-	blk := ix.meta.FirstCentroidBlk
-	for read < nlist {
-		buf, err := ctx.Pool.Pin(ctx.Rel, blk)
-		if err != nil {
-			return err
-		}
-		pg := buf.Page()
-		n := int(pg.NumItems())
-		for i := 1; i <= n && read < nlist; i++ {
-			item, err := pg.Item(uint16(i))
-			if err != nil {
-				buf.Release()
-				return err
-			}
-			cache = append(cache, pase.Float32View(item[:d*4])...)
-			read++
-		}
-		buf.Release()
-		blk++
-	}
-	ix.centroidCache = cache
+// Train implements ivf.Codec; there is nothing to fit.
+func (c *Codec) Train(_ map[string]string, _ []float32, dim int, _ []float32) error {
+	c.dim = dim
 	return nil
 }
 
-// centroidLoc maps a centroid ID to its page slot.
-func (ix *Index) centroidLoc(cid int) (uint32, uint16) {
-	per := int(ix.meta.CentroidsPerPage)
-	return ix.meta.FirstCentroidBlk + uint32(cid/per), uint16(cid%per) + 1
-}
+// Marshal implements ivf.Codec; the flat codec has no persistent state.
+func (*Codec) Marshal() [][]byte { return nil }
 
-// refKern is the fixed reference kernel for bucket assignment: Insert
-// and Delete must re-derive the same bucket for a vector regardless of
-// the session's SET distance_kernel, so assignment arithmetic is pinned
-// here and never dispatched.
-var refKern = vec.Ref()
-
-// nearestCentroid runs the PASE-style scalar argmin over all centroids.
-func (ix *Index) nearestCentroid(x []float32) int {
-	d := int(ix.meta.Dim)
-	best, bestD := 0, refKern.L2Sqr(x, ix.centroidCache[:d])
-	for c := 1; c < int(ix.meta.NList); c++ {
-		if dd := refKern.L2Sqr(x, ix.centroidCache[c*d:(c+1)*d]); dd < bestD {
-			best, bestD = c, dd
-		}
-	}
-	return best
-}
-
-// appendEntry adds (vector, tid) to bucket cid's data-page chain.
-func (ix *Index) appendEntry(cid int, x []float32, tid heap.TID) error {
-	ctx := ix.ctx
-	d := int(ix.meta.Dim)
-	blk, off := ix.centroidLoc(cid)
-
-	cbuf, err := ctx.Pool.Pin(ctx.Rel, blk)
-	if err != nil {
-		return err
-	}
-	centry, err := cbuf.Page().Item(off)
-	if err != nil {
-		cbuf.Release()
-		return err
-	}
-	trailer := centry[d*4:]
-	lastBlk := binary.LittleEndian.Uint32(trailer[4:])
-
-	entry := make([]byte, dataEntryHeaderSize+d*4)
-	tid.Pack(entry)
-	pase.PutFloat32s(entry[dataEntryHeaderSize:], x)
-
-	if lastBlk != pase.InvalidBlk {
-		dbuf, err := ctx.Pool.Pin(ctx.Rel, lastBlk)
-		if err != nil {
-			cbuf.Release()
-			return err
-		}
-		if _, err := dbuf.Page().AddItem(entry); err == nil {
-			dbuf.MarkDirty()
-			dbuf.Release()
-			ix.bumpCount(cbuf, trailer)
-			cbuf.Release()
-			return nil
-		} else if !errors.Is(err, page.ErrPageFull) {
-			dbuf.Release()
-			cbuf.Release()
-			return err
-		}
-		// Chain a new page after the full tail.
-		nbuf, nblk, err := ctx.Pool.NewPage(ctx.Rel)
-		if err != nil {
-			dbuf.Release()
-			cbuf.Release()
-			return err
-		}
-		page.Init(nbuf.Page(), pase.ChainSpecialSize)
-		pase.SetNextBlk(nbuf.Page(), pase.InvalidBlk)
-		if _, err := nbuf.Page().AddItem(entry); err != nil {
-			nbuf.Release()
-			dbuf.Release()
-			cbuf.Release()
-			return err
-		}
-		nbuf.MarkDirty()
-		nbuf.Release()
-		pase.SetNextBlk(dbuf.Page(), nblk)
-		dbuf.MarkDirty()
-		dbuf.Release()
-		binary.LittleEndian.PutUint32(trailer[4:], nblk)
-		ix.bumpCount(cbuf, trailer)
-		cbuf.Release()
-		return nil
-	}
-
-	// First entry of this bucket: allocate its head page.
-	nbuf, nblk, err := ctx.Pool.NewPage(ctx.Rel)
-	if err != nil {
-		cbuf.Release()
-		return err
-	}
-	page.Init(nbuf.Page(), pase.ChainSpecialSize)
-	pase.SetNextBlk(nbuf.Page(), pase.InvalidBlk)
-	if _, err := nbuf.Page().AddItem(entry); err != nil {
-		nbuf.Release()
-		cbuf.Release()
-		return err
-	}
-	nbuf.MarkDirty()
-	nbuf.Release()
-	binary.LittleEndian.PutUint32(trailer[0:], nblk)
-	binary.LittleEndian.PutUint32(trailer[4:], nblk)
-	ix.bumpCount(cbuf, trailer)
-	cbuf.Release()
+// Unmarshal implements ivf.Codec.
+func (c *Codec) Unmarshal(dim int, _ [][]byte) error {
+	c.dim = dim
 	return nil
 }
 
-// bumpCount increments the bucket population stored in the centroid entry.
-func (ix *Index) bumpCount(cbuf *buffer.Buf, trailer []byte) {
-	binary.LittleEndian.PutUint32(trailer[8:], binary.LittleEndian.Uint32(trailer[8:])+1)
-	cbuf.MarkDirty()
+// PayloadSize implements ivf.Codec.
+func (c *Codec) PayloadSize() int { return c.dim * 4 }
+
+// Encode implements ivf.Codec.
+func (*Codec) Encode(x, _ []float32, payload []byte) { pase.PutFloat32s(payload, x) }
+
+// Rerank implements ivf.Codec: flat distances are final.
+func (*Codec) Rerank() (string, int) { return "", 0 }
+
+// NewScorer implements ivf.Codec.
+func (c *Codec) NewScorer(kern vec.Kernel, queries [][]float32, pr *prof.Profile) ivf.Scorer {
+	return &scorer{kern: kern, dim: c.dim, queries: queries, tDist: pr.Timer("fvec_L2sqr")}
 }
 
-// Insert implements am.Index.
-func (ix *Index) Insert(v []float32, tid heap.TID) error {
-	if len(v) != int(ix.meta.Dim) {
-		return fmt.Errorf("pase/ivfflat: inserting %d-dim vector into %d-dim index", len(v), ix.meta.Dim)
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	cid := ix.nearestCentroid(v)
-	if err := ix.appendEntry(cid, v, tid); err != nil {
-		return err
-	}
-	ix.stats.NAdded++
-	return nil
+// scorer scores a segment with one kernel L2SqrNTRows call: the entries
+// are the A rows — zero-copy views into the pinned pages — and the
+// subscribing queries the B rows. The transposition is deliberate: A
+// rows drive the kernel's unroll, and a bucket always has many tuples
+// even when only one query subscribes, so the independent accumulator
+// chains (the ILP that makes RC#1 pay on a single core) engage for every
+// bucket. Each (tuple, query) chain computes Σ(t_p−q_p)², bitwise equal
+// to the solo Σ(q_p−t_p)²: IEEE subtraction is sign-symmetric and
+// x·x == (−x)·(−x), and every kernel's L2SqrNTRows is bit-equal, pair by
+// pair, to its L2Sqr (the kernelparity contract).
+type scorer struct {
+	kern    vec.Kernel
+	dim     int
+	queries [][]float32
+	tDist   *prof.Timer
+	rows    [][]float32
+	qf      []float32 // the subscriber queries gathered row-major
 }
 
-// SizeBytes reports the index relation's page footprint (pages × page
-// size), the way Fig 11 measures on-disk index size.
-func (ix *Index) SizeBytes() (int64, error) {
-	nblocks, err := ix.ctx.Pool.NumBlocks(ix.ctx.Rel)
-	if err != nil {
-		return 0, err
-	}
-	return int64(nblocks) * int64(ix.ctx.Pool.PageSize()), nil
-}
+// Bucket implements ivf.Scorer.
+func (*scorer) Bucket([]float32, []int) {}
 
-// BucketSizes returns per-bucket populations (for skew reports).
-func (ix *Index) BucketSizes() ([]int, error) {
-	out := make([]int, ix.meta.NList)
-	d := int(ix.meta.Dim)
-	for cid := range out {
-		blk, off := ix.centroidLoc(cid)
-		buf, err := ix.ctx.Pool.Pin(ix.ctx.Rel, blk)
-		if err != nil {
-			return nil, err
-		}
-		centry, err := buf.Page().Item(off)
-		if err != nil {
-			buf.Release()
-			return nil, err
-		}
-		out[cid] = int(binary.LittleEndian.Uint32(centry[d*4+8:]))
-		buf.Release()
+// Score implements ivf.Scorer.
+func (s *scorer) Score(entries [][]byte, qs []int, _ bool, out []float32) {
+	s.rows = slices.Grow(s.rows[:0], len(entries))
+	for _, e := range entries {
+		s.rows = append(s.rows, pase.Float32View(e[ivf.EntryHeaderSize:]))
 	}
-	return out, nil
-}
-
-// Assignments maps every indexed TID to its bucket (Fig 15 transplant).
-func (ix *Index) Assignments() (map[heap.TID]int32, error) {
-	out := make(map[heap.TID]int32, ix.stats.NAdded)
-	d := int(ix.meta.Dim)
-	for cid := 0; cid < int(ix.meta.NList); cid++ {
-		blk, off := ix.centroidLoc(cid)
-		buf, err := ix.ctx.Pool.Pin(ix.ctx.Rel, blk)
-		if err != nil {
-			return nil, err
+	qf := s.queries[qs[0]]
+	if len(qs) > 1 {
+		qf = s.qf[:0]
+		for _, qi := range qs {
+			qf = append(qf, s.queries[qi]...)
 		}
-		centry, err := buf.Page().Item(off)
-		if err != nil {
-			buf.Release()
-			return nil, err
-		}
-		next := binary.LittleEndian.Uint32(centry[d*4:])
-		buf.Release()
-		for next != pase.InvalidBlk {
-			dbuf, err := ix.ctx.Pool.Pin(ix.ctx.Rel, next)
-			if err != nil {
-				return nil, err
-			}
-			pg := dbuf.Page()
-			for i := uint16(1); i <= pg.NumItems(); i++ {
-				item, err := pg.Item(i)
-				if err != nil {
-					if errors.Is(err, page.ErrDeadItem) {
-						continue
-					}
-					dbuf.Release()
-					return nil, err
-				}
-				out[heap.UnpackTID(item)] = int32(cid)
-			}
-			next = pase.NextBlk(pg)
-			dbuf.Release()
-		}
+		s.qf = qf
 	}
-	return out, nil
+	ts := s.tDist.Start()
+	s.kern.L2SqrNTRows(s.rows, s.dim, qf, len(qs), out)
+	s.tDist.Stop(ts)
 }

@@ -1,32 +1,25 @@
 // Package ivfpq implements the PASE-style IVF_PQ index access method on
-// the PostgreSQL substrate: coarse centroids in centroid pages, PQ
-// codebooks in codebook pages, and per-bucket chains of data pages whose
-// entries pack a heap TID with the M-byte PQ code of the vector's
-// residual.
+// the PostgreSQL substrate: the internal/pase/ivf chassis with the PQ
+// codec — PQ codebooks on the aux pages, and data entries that pack a
+// heap TID with the M-byte PQ code of the vector's residual against its
+// bucket centroid.
 //
 // The paper's RC#7 lives here: PASE computes the query-to-codeword
 // distance table from scratch for every probed bucket (a m×c_pq×(d/m)
 // scalar-loop computation), while the specialized engine assembles it
-// from terms cached at train time. RC#1/RC#2/RC#3/RC#6 apply as in the
-// ivfflat sibling.
+// from terms cached at train time. RC#1/RC#2/RC#3/RC#6 are the
+// chassis's.
 package ivfpq
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"vecstudy/internal/kmeans"
-	"vecstudy/internal/minheap"
 	"vecstudy/internal/pase"
+	"vecstudy/internal/pase/ivf"
 	"vecstudy/internal/pg/am"
-	"vecstudy/internal/pg/buffer"
-	"vecstudy/internal/pg/heap"
-	"vecstudy/internal/pg/page"
 	"vecstudy/internal/pq"
+	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -34,664 +27,177 @@ func init() {
 	am.Register("ivfpq", Build)
 }
 
-const centroidTrailerSize = 16 // firstBlk | lastBlk | count | pad
-const dataEntryHeaderSize = 8  // packed TID (6) + pad (2)
-
-type meta struct {
-	Dim              uint32
-	NList            uint32
-	M                uint32
-	KSub             uint32
-	FirstCentroidBlk uint32
-	CentroidsPerPage uint32
-	FirstCodebookBlk uint32
-}
-
-func encodeMeta(m meta) []byte {
-	b := make([]byte, 28)
-	binary.LittleEndian.PutUint32(b[0:], m.Dim)
-	binary.LittleEndian.PutUint32(b[4:], m.NList)
-	binary.LittleEndian.PutUint32(b[8:], m.M)
-	binary.LittleEndian.PutUint32(b[12:], m.KSub)
-	binary.LittleEndian.PutUint32(b[16:], m.FirstCentroidBlk)
-	binary.LittleEndian.PutUint32(b[20:], m.CentroidsPerPage)
-	binary.LittleEndian.PutUint32(b[24:], m.FirstCodebookBlk)
-	return b
-}
-
-func decodeMeta(b []byte) meta {
-	return meta{
-		Dim:              binary.LittleEndian.Uint32(b[0:]),
-		NList:            binary.LittleEndian.Uint32(b[4:]),
-		M:                binary.LittleEndian.Uint32(b[8:]),
-		KSub:             binary.LittleEndian.Uint32(b[12:]),
-		FirstCentroidBlk: binary.LittleEndian.Uint32(b[16:]),
-		CentroidsPerPage: binary.LittleEndian.Uint32(b[20:]),
-		FirstCodebookBlk: binary.LittleEndian.Uint32(b[24:]),
-	}
-}
-
-// BuildStats reports the construction phases of Figs 5–6.
-type BuildStats struct {
-	TrainTime time.Duration
-	AddTime   time.Duration
-	NAdded    int
-}
-
 // Index is a built PASE IVF_PQ index.
-type Index struct {
-	ctx           *am.BuildContext
-	meta          meta
-	centroidCache []float32
-	quant         *pq.Quantizer
-	mu            sync.Mutex
-	dead          atomic.Int64 // tombstoned entries awaiting Maintain
-	stats         BuildStats
-}
-
-// AM implements am.Index.
-func (ix *Index) AM() string { return "ivfpq" }
-
-// Stats returns build phase timings.
-func (ix *Index) Stats() BuildStats { return ix.stats }
+type Index struct{ *ivf.Index }
 
 // Build trains the coarse and product quantizers over the table and
 // bulk-loads the codes. Options: clusters, sample_ratio, m, ksub, seed.
 func Build(ctx *am.BuildContext) (am.Index, error) {
-	nlist, err := pase.OptInt(ctx.Opts, "clusters", 256)
+	ix, err := ivf.Build(ctx, &Codec{})
 	if err != nil {
 		return nil, err
 	}
-	sr, err := pase.OptFloat(ctx.Opts, "sample_ratio", 0.01)
-	if err != nil {
-		return nil, err
-	}
-	m, err := pase.OptInt(ctx.Opts, "m", 16)
-	if err != nil {
-		return nil, err
-	}
-	ksub, err := pase.OptInt(ctx.Opts, "ksub", 256)
-	if err != nil {
-		return nil, err
-	}
-	seed, err := pase.OptInt(ctx.Opts, "seed", 0)
-	if err != nil {
-		return nil, err
-	}
-	if ctx.Dim%m != 0 {
-		return nil, fmt.Errorf("pase/ivfpq: m=%d must divide dim=%d", m, ctx.Dim)
-	}
+	return &Index{ix}, nil
+}
 
-	start := time.Now()
-	var tids []heap.TID
-	data := vec.NewFlat(ctx.Dim, 1024)
-	err = ctx.Table.Scan(func(tid heap.TID, tup []byte) (bool, error) {
-		v, err := ctx.Table.Schema().VectorAt(tup, ctx.VecCol)
-		if err != nil {
-			return false, err
-		}
-		tids = append(tids, tid)
-		data.Append(v)
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := data.N()
-	if n < nlist || n < ksub {
-		return nil, fmt.Errorf("pase/ivfpq: %d rows too few for clusters=%d ksub=%d", n, nlist, ksub)
-	}
-	d := ctx.Dim
+// Codec is the PQ ivf.Codec: the payload is the M-byte code of the
+// vector's residual against its bucket centroid.
+type Codec struct {
+	quant *pq.Quantizer
+	resid []float32 // Encode's residual buffer (the chassis serializes Encode)
+}
 
-	coarse, err := kmeans.Train(data.Data, n, d, kmeans.Config{
-		K: nlist, Seed: int64(seed), SampleRatio: sr,
-		UseGemm: false, Threads: 1, Flavor: kmeans.FlavorPASE,
-	})
-	if err != nil {
-		return nil, err
-	}
+// Name implements ivf.Codec.
+func (*Codec) Name() string { return "ivfpq" }
 
-	// PQ trained on residuals of a training subset, naive kernels.
-	tn := n
-	if maxTrain := 64 * ksub; tn > maxTrain {
-		tn = maxTrain
+// refKern pins the residuals the codebooks are trained on to the ref
+// kernel, like every other layout-affecting assignment.
+var refKern = vec.Ref()
+
+// Train implements ivf.Codec: PQ trained on the residuals of a training
+// subset against their nearest coarse centroid, naive kernels.
+func (c *Codec) Train(opts map[string]string, data []float32, d int, centroids []float32) error {
+	m, err := pase.OptInt(opts, "m", 16)
+	if err != nil {
+		return err
 	}
+	ksub, err := pase.OptInt(opts, "ksub", 256)
+	if err != nil {
+		return err
+	}
+	seed, err := pase.OptInt(opts, "seed", 0)
+	if err != nil {
+		return err
+	}
+	n, nlist := len(data)/d, len(centroids)/d
+	if m <= 0 || d%m != 0 {
+		return fmt.Errorf("pase/ivfpq: m=%d must divide dim=%d", m, d)
+	}
+	if n < ksub {
+		return fmt.Errorf("pase/ivfpq: %d rows too few for ksub=%d", n, ksub)
+	}
+	tn := min(n, 64*ksub)
 	resid := make([]float32, tn*d)
 	for i := 0; i < tn; i++ {
-		row := data.Data[i*d : (i+1)*d]
-		cid := nearest(row, coarse.Centroids, nlist, d)
-		c := coarse.Centroids[cid*d : (cid+1)*d]
-		dst := resid[i*d : (i+1)*d]
-		for j := range dst {
-			dst[j] = row[j] - c[j]
+		row := data[i*d : (i+1)*d]
+		best, bestD := 0, refKern.L2Sqr(row, centroids[:d])
+		for cid := 1; cid < nlist; cid++ {
+			if dd := refKern.L2Sqr(row, centroids[cid*d:(cid+1)*d]); dd < bestD {
+				best, bestD = cid, dd
+			}
 		}
+		residual(row, centroids[best*d:(best+1)*d], resid[i*d:(i+1)*d])
 	}
-	quant, err := pq.Train(resid, tn, d, pq.Config{
+	c.quant, err = pq.Train(resid, tn, d, pq.Config{
 		M: m, KSub: ksub, Seed: int64(seed) + 1,
 		UseGemm: false, Threads: 1, Flavor: kmeans.FlavorPASE,
 	})
-	if err != nil {
-		return nil, err
-	}
-	trainTime := time.Since(start)
-
-	addStart := time.Now()
-	ix := &Index{ctx: ctx, quant: quant}
-	if err := ix.initPages(coarse.Centroids, nlist, quant); err != nil {
-		return nil, err
-	}
-	scratch := make([]float32, d)
-	code := make([]byte, m)
-	for i := 0; i < n; i++ {
-		row := data.Data[i*d : (i+1)*d]
-		cid := ix.nearestCentroid(row)
-		c := ix.centroidCache[cid*d : (cid+1)*d]
-		for j := range scratch {
-			scratch[j] = row[j] - c[j]
-		}
-		quant.Encode(scratch, code)
-		if err := ix.appendEntry(cid, code, tids[i]); err != nil {
-			return nil, err
-		}
-	}
-	ix.stats = BuildStats{TrainTime: trainTime, AddTime: time.Since(addStart), NAdded: n}
-	return ix, nil
+	return err
 }
 
-// refKern pins build-, insert-, and delete-time bucket assignment to the
-// ref kernel: which bucket a tuple lands in (and is later re-derived
-// from on Delete) must not depend on the session's SET distance_kernel.
-var refKern = vec.Ref()
-
-func nearest(x, centroids []float32, k, d int) int {
-	best, bestD := 0, refKern.L2Sqr(x, centroids[:d])
-	for c := 1; c < k; c++ {
-		if dd := refKern.L2Sqr(x, centroids[c*d:(c+1)*d]); dd < bestD {
-			best, bestD = c, dd
-		}
+func residual(x, centroid, dst []float32) {
+	for j := range dst {
+		dst[j] = x[j] - centroid[j]
 	}
-	return best
 }
 
-func (ix *Index) nearestCentroid(x []float32) int {
-	return nearest(x, ix.centroidCache, int(ix.meta.NList), int(ix.meta.Dim))
+// Marshal implements ivf.Codec: the codewords in (subspace, codeword)
+// order, one page item of dsub floats each.
+func (c *Codec) Marshal() [][]byte {
+	q := c.quant
+	raw := make([]byte, 4*len(q.Codebooks))
+	pase.PutFloat32s(raw, q.Codebooks)
+	items := make([][]byte, q.M*q.KSub)
+	for i := range items {
+		items[i] = raw[i*q.DSub*4 : (i+1)*q.DSub*4]
+	}
+	return items
 }
 
-// initPages lays out meta, centroid, and codebook pages.
-func (ix *Index) initPages(centroids []float32, nlist int, quant *pq.Quantizer) error {
-	ctx := ix.ctx
-	d := ctx.Dim
-	entrySize := d*4 + centroidTrailerSize
-	usable := ctx.Pool.PageSize() - page.HeaderSize
-	perPage := usable / (entrySize + page.ItemIDSize + page.MaxAlign)
-	if perPage == 0 {
-		return fmt.Errorf("pase/ivfpq: centroid entry of %d bytes does not fit page", entrySize)
+// Unmarshal implements ivf.Codec. M and KSub follow from the item shape:
+// each item is one codeword of dsub floats, and there are M·KSub of them.
+func (c *Codec) Unmarshal(dim int, items [][]byte) error {
+	if len(items) == 0 || len(items[0]) == 0 || dim%(len(items[0])/4) != 0 {
+		return fmt.Errorf("pase/ivfpq: %d codebook items do not fit dim %d", len(items), dim)
 	}
-
-	metaBuf, metaBlk, err := ctx.Pool.NewPage(ctx.Rel)
-	if err != nil {
-		return err
+	dsub := len(items[0]) / 4
+	m := dim / dsub
+	q := &pq.Quantizer{D: dim, M: m, KSub: len(items) / m, DSub: dsub}
+	for _, item := range items {
+		q.Codebooks = append(q.Codebooks, pase.Float32View(item)...)
 	}
-	if metaBlk != 0 {
-		metaBuf.Release()
-		return fmt.Errorf("pase/ivfpq: meta page allocated at block %d", metaBlk)
-	}
-	page.Init(metaBuf.Page(), 0)
-	ncentroidBlks := (nlist + perPage - 1) / perPage
-	ix.meta = meta{
-		Dim: uint32(d), NList: uint32(nlist), M: uint32(quant.M), KSub: uint32(quant.KSub),
-		FirstCentroidBlk: 1, CentroidsPerPage: uint32(perPage),
-		FirstCodebookBlk: uint32(1 + ncentroidBlks),
-	}
-	if _, err := metaBuf.Page().AddItem(encodeMeta(ix.meta)); err != nil {
-		metaBuf.Release()
-		return err
-	}
-	metaBuf.MarkDirty()
-	metaBuf.Release()
-
-	entry := make([]byte, entrySize)
-	written := 0
-	for written < nlist {
-		buf, _, err := ctx.Pool.NewPage(ctx.Rel)
-		if err != nil {
-			return err
-		}
-		page.Init(buf.Page(), 0)
-		for i := 0; i < perPage && written < nlist; i++ {
-			pase.PutFloat32s(entry, centroids[written*d:(written+1)*d])
-			trailer := entry[d*4:]
-			binary.LittleEndian.PutUint32(trailer[0:], pase.InvalidBlk)
-			binary.LittleEndian.PutUint32(trailer[4:], pase.InvalidBlk)
-			binary.LittleEndian.PutUint32(trailer[8:], 0)
-			if _, err := buf.Page().AddItem(entry); err != nil {
-				buf.Release()
-				return err
-			}
-			written++
-		}
-		buf.MarkDirty()
-		buf.Release()
-	}
-	ix.centroidCache = append([]float32(nil), centroids...)
-
-	// Codebook pages: codewords written sequentially, dsub floats each.
-	cw := make([]byte, quant.DSub*4)
-	var codeBuf *buffer.Buf
-	release := func() {
-		if codeBuf != nil {
-			codeBuf.MarkDirty()
-			codeBuf.Release()
-			codeBuf = nil
-		}
-	}
-	newCodePage := func() error {
-		release()
-		b, _, err := ctx.Pool.NewPage(ctx.Rel)
-		if err != nil {
-			return err
-		}
-		page.Init(b.Page(), 0)
-		codeBuf = b
-		return nil
-	}
-	for m := 0; m < quant.M; m++ {
-		for j := 0; j < quant.KSub; j++ {
-			pase.PutFloat32s(cw, quant.Codeword(m, j))
-			if codeBuf == nil {
-				if err := newCodePage(); err != nil {
-					return err
-				}
-			}
-			if _, err := codeBuf.Page().AddItem(cw); err != nil {
-				if !errors.Is(err, page.ErrPageFull) {
-					release()
-					return err
-				}
-				if err := newCodePage(); err != nil {
-					return err
-				}
-				if _, err := codeBuf.Page().AddItem(cw); err != nil {
-					release()
-					return err
-				}
-			}
-		}
-	}
-	release()
+	c.quant = q
 	return nil
 }
 
-// appendEntry adds (code, tid) to bucket cid's chain.
-func (ix *Index) appendEntry(cid int, code []byte, tid heap.TID) error {
-	ctx := ix.ctx
-	d := int(ix.meta.Dim)
-	per := int(ix.meta.CentroidsPerPage)
-	blk := ix.meta.FirstCentroidBlk + uint32(cid/per)
-	off := uint16(cid%per) + 1
+// PayloadSize implements ivf.Codec.
+func (c *Codec) PayloadSize() int { return c.quant.M }
 
-	cbuf, err := ctx.Pool.Pin(ctx.Rel, blk)
-	if err != nil {
-		return err
+// Encode implements ivf.Codec.
+func (c *Codec) Encode(x, centroid []float32, payload []byte) {
+	if c.resid == nil {
+		c.resid = make([]float32, len(x))
 	}
-	centry, err := cbuf.Page().Item(off)
-	if err != nil {
-		cbuf.Release()
-		return err
-	}
-	trailer := centry[d*4:]
-	lastBlk := binary.LittleEndian.Uint32(trailer[4:])
-
-	entry := make([]byte, dataEntryHeaderSize+len(code))
-	tid.Pack(entry)
-	copy(entry[dataEntryHeaderSize:], code)
-
-	appendTo := func(target uint32) (bool, error) {
-		dbuf, err := ctx.Pool.Pin(ctx.Rel, target)
-		if err != nil {
-			return false, err
-		}
-		_, err = dbuf.Page().AddItem(entry)
-		if err == nil {
-			dbuf.MarkDirty()
-			dbuf.Release()
-			return true, nil
-		}
-		dbuf.Release()
-		if errors.Is(err, page.ErrPageFull) {
-			return false, nil
-		}
-		return false, err
-	}
-
-	if lastBlk != pase.InvalidBlk {
-		ok, err := appendTo(lastBlk)
-		if err != nil {
-			cbuf.Release()
-			return err
-		}
-		if ok {
-			bumpCount(trailer)
-			cbuf.MarkDirty()
-			cbuf.Release()
-			return nil
-		}
-	}
-	// Need a fresh page (bucket head or chain extension).
-	nbuf, nblk, err := ctx.Pool.NewPage(ctx.Rel)
-	if err != nil {
-		cbuf.Release()
-		return err
-	}
-	page.Init(nbuf.Page(), pase.ChainSpecialSize)
-	pase.SetNextBlk(nbuf.Page(), pase.InvalidBlk)
-	if _, err := nbuf.Page().AddItem(entry); err != nil {
-		nbuf.Release()
-		cbuf.Release()
-		return err
-	}
-	nbuf.MarkDirty()
-	nbuf.Release()
-	if lastBlk != pase.InvalidBlk {
-		pbuf, err := ctx.Pool.Pin(ctx.Rel, lastBlk)
-		if err != nil {
-			cbuf.Release()
-			return err
-		}
-		pase.SetNextBlk(pbuf.Page(), nblk)
-		pbuf.MarkDirty()
-		pbuf.Release()
-	} else {
-		binary.LittleEndian.PutUint32(trailer[0:], nblk)
-	}
-	binary.LittleEndian.PutUint32(trailer[4:], nblk)
-	bumpCount(trailer)
-	cbuf.MarkDirty()
-	cbuf.Release()
-	return nil
+	residual(x, centroid, c.resid)
+	c.quant.Encode(c.resid, payload)
 }
 
-func bumpCount(trailer []byte) {
-	binary.LittleEndian.PutUint32(trailer[8:], binary.LittleEndian.Uint32(trailer[8:])+1)
+// Rerank implements ivf.Codec: PASE returns the ADC distances as they are.
+func (*Codec) Rerank() (string, int) { return "", 0 }
+
+// NewScorer implements ivf.Codec.
+func (c *Codec) NewScorer(_ vec.Kernel, queries [][]float32, pr *prof.Profile) ivf.Scorer {
+	return &scorer{
+		quant: c.quant, queries: queries, slot: make([]int, len(queries)),
+		resid: make([]float32, c.quant.D),
+		tTab:  pr.Timer("precomputed-table"), tScan: pr.Timer("adc-scan"),
+	}
 }
 
-// Insert implements am.Index.
-func (ix *Index) Insert(v []float32, tid heap.TID) error {
-	if len(v) != int(ix.meta.Dim) {
-		return fmt.Errorf("pase/ivfpq: inserting %d-dim vector into %d-dim index", len(v), ix.meta.Dim)
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	d := int(ix.meta.Dim)
-	cid := ix.nearestCentroid(v)
-	c := ix.centroidCache[cid*d : (cid+1)*d]
-	resid := make([]float32, d)
-	for j := range resid {
-		resid[j] = v[j] - c[j]
-	}
-	code := make([]byte, ix.quant.M)
-	ix.quant.Encode(resid, code)
-	if err := ix.appendEntry(cid, code, tid); err != nil {
-		return err
-	}
-	ix.stats.NAdded++
-	return nil
+// scorer is asymmetric distance computation over per-(query, bucket)
+// tables.
+type scorer struct {
+	quant       *pq.Quantizer
+	queries     [][]float32
+	tTab, tScan *prof.Timer
+	resid       []float32
+	tabs        []float32 // one M×KSub table per subscriber of the current bucket
+	slot        []int     // batch index -> its table's row in tabs
 }
 
-// SizeBytes reports the index relation's page footprint (Fig 12).
-func (ix *Index) SizeBytes() (int64, error) {
-	nblocks, err := ix.ctx.Pool.NumBlocks(ix.ctx.Rel)
-	if err != nil {
-		return 0, err
+// Bucket implements ivf.Scorer: it rebuilds the query-to-codeword
+// distance table of every subscriber from scratch (RC#7) — residual
+// against the bucket's coarse centroid, then the naive sub-quantizer
+// table. The table depends only on (query, bucket), so a multi-query
+// probe pays exactly the solo arithmetic once per probing query.
+func (s *scorer) Bucket(centroid []float32, qs []int) {
+	size := s.quant.M * s.quant.KSub
+	if need := len(qs) * size; cap(s.tabs) < need {
+		s.tabs = make([]float32, need)
 	}
-	return int64(nblocks) * int64(ix.ctx.Pool.PageSize()), nil
+	for row, qi := range qs {
+		ts := s.tTab.Start()
+		residual(s.queries[qi], centroid, s.resid)
+		s.quant.DistanceTableNaive(s.resid, s.tabs[row*size:(row+1)*size])
+		s.tTab.Stop(ts)
+		s.slot[qi] = row
+	}
 }
 
-// Search implements am.Index. params: nprobe, threads. The distance
-// table for each probed bucket is recomputed naively (RC#7); candidates
-// go into a size-n collector (RC#6) or, when threads > 1, a lock-guarded
-// global heap (RC#3).
-func (ix *Index) Search(query []float32, k int, params map[string]string) ([]am.Result, error) {
-	if len(query) != int(ix.meta.Dim) {
-		return nil, fmt.Errorf("pase/ivfpq: query dimension %d != %d", len(query), ix.meta.Dim)
-	}
-	nprobe, err := pase.OptInt(params, "nprobe", 20)
-	if err != nil {
-		return nil, err
-	}
-	threads, err := pase.OptInt(params, "threads", 1)
-	if err != nil {
-		return nil, err
-	}
-	if nprobe <= 0 {
-		nprobe = 1
-	}
-	if nprobe > int(ix.meta.NList) {
-		nprobe = int(ix.meta.NList)
-	}
-	kern, err := pase.KernelOpt(params)
-	if err != nil {
-		return nil, err
-	}
-	probes := ix.selectProbes(kern, query, nprobe)
-	if threads > 1 {
-		return ix.searchParallel(query, k, probes, threads)
-	}
-	pr := ix.ctx.Prof
-	collector := minheap.NewCollector(1024)
-	tHeap := pr.Timer("min-heap")
-	tab := make([]float32, ix.quant.M*ix.quant.KSub)
-	scratch := make([]float32, ix.meta.Dim)
-	for _, cid := range probes {
-		if err := ix.scanBucket(query, cid, tab, scratch, func(tid heap.TID, dist float32) {
-			ts := tHeap.Start()
-			collector.Push(packTID(tid), dist)
-			tHeap.Stop(ts)
-		}); err != nil {
-			return nil, err
-		}
-	}
-	ts := tHeap.Start()
-	items := collector.PopK(k)
-	tHeap.Stop(ts)
-	return itemsToResults(items), nil
-}
-
-// SearchFiltered implements am.FilteredIndex: the predicate gates each
-// candidate inside the ADC bucket scans, so non-matching codes never
-// enter the result heap. The scan is serial (the predicate callback
-// resolves heap tuples and is not synchronized).
-func (ix *Index) SearchFiltered(query []float32, k int, params map[string]string, pred am.Predicate) ([]am.Result, error) {
-	if pred == nil {
-		return ix.Search(query, k, params)
-	}
-	if len(query) != int(ix.meta.Dim) {
-		return nil, fmt.Errorf("pase/ivfpq: query dimension %d != %d", len(query), ix.meta.Dim)
-	}
-	if k <= 0 {
-		return nil, errors.New("pase/ivfpq: k must be positive")
-	}
-	nprobe, err := pase.OptInt(params, "nprobe", 20)
-	if err != nil {
-		return nil, err
-	}
-	if nprobe <= 0 {
-		nprobe = 1
-	}
-	if nprobe > int(ix.meta.NList) {
-		nprobe = int(ix.meta.NList)
-	}
-	kern, err := pase.KernelOpt(params)
-	if err != nil {
-		return nil, err
-	}
-	top := minheap.NewTopK(k)
-	tab := make([]float32, ix.quant.M*ix.quant.KSub)
-	scratch := make([]float32, ix.meta.Dim)
-	var predErr error
-	for _, cid := range ix.selectProbes(kern, query, nprobe) {
-		if err := ix.scanBucket(query, cid, tab, scratch, func(tid heap.TID, dist float32) {
-			if predErr != nil {
-				return
+// Score implements ivf.Scorer.
+func (s *scorer) Score(entries [][]byte, qs []int, _ bool, out []float32) {
+	m, ksub := s.quant.M, s.quant.KSub
+	ts := s.tScan.Start()
+	for si, qi := range qs {
+		tab := s.tabs[s.slot[qi]*m*ksub:]
+		for t, e := range entries {
+			code := e[ivf.EntryHeaderSize:]
+			var dist float32
+			for mm := 0; mm < m; mm++ {
+				dist += tab[mm*ksub+int(code[mm])]
 			}
-			ok, err := pred(tid)
-			if err != nil {
-				predErr = err
-				return
-			}
-			if ok {
-				top.Push(packTID(tid), dist)
-			}
-		}); err != nil {
-			return nil, err
-		}
-		if predErr != nil {
-			return nil, predErr
+			out[t*len(qs)+si] = dist
 		}
 	}
-	return itemsToResults(top.Results()), nil
-}
-
-func (ix *Index) searchParallel(query []float32, k int, probes []int32, threads int) ([]am.Result, error) {
-	global := minheap.NewSharedTopK(k)
-	err := pase.ScanProbesParallel(probes, threads, func() func(int32) error {
-		// Per-worker scratch: the naive distance table (RC#7) and the
-		// residual buffer.
-		tab := make([]float32, ix.quant.M*ix.quant.KSub)
-		scratch := make([]float32, ix.meta.Dim)
-		return func(cid int32) error {
-			return ix.scanBucket(query, cid, tab, scratch, func(tid heap.TID, dist float32) {
-				global.Push(packTID(tid), dist)
-			})
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return itemsToResults(global.Results()), nil
-}
-
-// scanBucket computes the naive distance table for bucket cid and scans
-// its code chain, emitting (tid, approx distance) for every entry.
-func (ix *Index) scanBucket(query []float32, cid int32, tab, scratch []float32, emit func(heap.TID, float32)) error {
-	pr := ix.ctx.Prof
-	m := int(ix.meta.M)
-	ksub := int(ix.meta.KSub)
-	ix.computeTab(query, cid, tab, scratch)
-	tScan := pr.Timer("adc-scan")
-	return ix.scanCodes(cid, func(tid heap.TID, code []byte) {
-		tsS := tScan.Start()
-		var dist float32
-		for mm := 0; mm < m; mm++ {
-			dist += tab[mm*ksub+int(code[mm])]
-		}
-		tScan.Stop(tsS)
-		emit(tid, dist)
-	})
-}
-
-// computeTab rebuilds the query-to-codeword distance table for bucket cid
-// from scratch (RC#7): residual against the coarse centroid, then the
-// naive sub-quantizer table. The table depends only on (query, cid), so
-// the multi-query probe computes it once per probing query per bucket
-// with arithmetic identical to the solo scan.
-func (ix *Index) computeTab(query []float32, cid int32, tab, scratch []float32) {
-	pr := ix.ctx.Prof
-	d := int(ix.meta.Dim)
-	ts := pr.Timer("precomputed-table").Start()
-	c := ix.centroidCache[int(cid)*d : (int(cid)+1)*d]
-	for j := range scratch {
-		scratch[j] = query[j] - c[j]
-	}
-	ix.quant.DistanceTableNaive(scratch, tab)
-	pr.Timer("precomputed-table").Stop(ts)
-}
-
-// scanCodes walks bucket cid's code chain through the buffer pool,
-// emitting each entry's TID and PQ code. The code slice aliases the
-// pinned page and is valid only during the callback. MultiSearch scans a
-// bucket once through this walker for all queries probing it.
-func (ix *Index) scanCodes(cid int32, emit func(heap.TID, []byte)) error {
-	ctx := ix.ctx
-	pr := ctx.Prof
-	d := int(ix.meta.Dim)
-	per := int(ix.meta.CentroidsPerPage)
-	blk := ix.meta.FirstCentroidBlk + uint32(int(cid)/per)
-	off := uint16(int(cid)%per) + 1
-	tTuple := pr.Timer("tuple_access")
-
-	tsT := tTuple.Start()
-	cbuf, err := ctx.Pool.Pin(ctx.Rel, blk)
-	if err != nil {
-		tTuple.Stop(tsT)
-		return err
-	}
-	centry, err := cbuf.Page().Item(off)
-	tTuple.Stop(tsT)
-	if err != nil {
-		cbuf.Release()
-		return err
-	}
-	next := binary.LittleEndian.Uint32(centry[d*4:])
-	cbuf.Release()
-
-	for next != pase.InvalidBlk {
-		tsT := tTuple.Start()
-		dbuf, err := ctx.Pool.Pin(ctx.Rel, next)
-		tTuple.Stop(tsT)
-		if err != nil {
-			return err
-		}
-		pg := dbuf.Page()
-		n := pg.NumItems()
-		for i := uint16(1); i <= n; i++ {
-			tsT := tTuple.Start()
-			item, err := pg.Item(i)
-			if err != nil {
-				tTuple.Stop(tsT)
-				if errors.Is(err, page.ErrDeadItem) {
-					continue // tombstoned code: skip, reclaimed by Maintain
-				}
-				dbuf.Release()
-				return err
-			}
-			tid := heap.UnpackTID(item)
-			code := item[dataEntryHeaderSize:]
-			tTuple.Stop(tsT)
-			emit(tid, code)
-		}
-		next = pase.NextBlk(pg)
-		dbuf.Release()
-	}
-	return nil
-}
-
-func (ix *Index) selectProbes(kern vec.Kernel, query []float32, nprobe int) []int32 {
-	d := int(ix.meta.Dim)
-	heap := minheap.NewTopK(nprobe)
-	for c := 0; c < int(ix.meta.NList); c++ {
-		heap.Push(int64(c), kern.L2Sqr(query, ix.centroidCache[c*d:(c+1)*d]))
-	}
-	items := heap.Results()
-	out := make([]int32, len(items))
-	for i, it := range items {
-		out[i] = int32(it.ID)
-	}
-	return out
-}
-
-func packTID(tid heap.TID) int64 {
-	return int64(tid.Blk)<<16 | int64(tid.Off)
-}
-
-func unpackTID(v int64) heap.TID {
-	return heap.TID{Blk: uint32(v >> 16), Off: uint16(v & 0xFFFF)}
-}
-
-func itemsToResults(items []minheap.Item) []am.Result {
-	out := make([]am.Result, len(items))
-	for i, it := range items {
-		out[i] = am.Result{TID: unpackTID(it.ID), Dist: it.Dist}
-	}
-	return out
+	s.tScan.Stop(ts)
 }

@@ -1,37 +1,28 @@
 // Package ivfsq8 implements a PASE-style IVF index with SQ8 scalar
-// quantization on the PostgreSQL substrate: the bucket layout of
-// ivfflat, but each data entry stores the vector as d uint8 codes on a
-// per-dimension [min, max] grid trained at build time, so data pages
-// hold roughly 4× more tuples per page. Search scores codes with the
-// kernel's asymmetric uint8-vs-float32 distance — plain scans in the
-// decomposed form (a uint8 dot product against stored code norms, one
-// page per kernel call), predicate and multi-query paths per item —
-// keeps k·β candidates (SET sq8_rerank), and re-ranks them against the
+// quantization on the PostgreSQL substrate: the internal/pase/ivf
+// chassis with the SQ8 codec — each data entry stores the vector as d
+// uint8 codes on a per-dimension [min, max] grid trained at build time
+// (persisted on the aux pages), so data pages hold roughly 4× more
+// tuples per page than ivfflat's. Search scores codes with the kernel's
+// asymmetric uint8-vs-float32 distance — plain scans in the decomposed
+// form (a uint8 dot product against stored code norms, one page per
+// kernel call), predicate-gated scans per surviving item — keeps k·β
+// candidates (SET sq8_rerank), and re-ranks them against the
 // full-precision heap tuples before returning k — the classic SQ8 +
 // refinement recipe, here paying PostgreSQL's tuple re-fetch cost for
 // the refinement step.
-//
-// On-page structure: a meta page (block 0), a chain of stats pages
-// persisting the trained per-dimension min/step arrays, centroid pages
-// identical to ivfflat's (full-precision centroids — probe selection is
-// not quantized), and per-bucket chains of code pages.
 package ivfsq8
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
-	"time"
+	"slices"
 
-	"vecstudy/internal/kmeans"
 	"vecstudy/internal/pase"
+	"vecstudy/internal/pase/ivf"
 	"vecstudy/internal/pg/am"
-	"vecstudy/internal/pg/buffer"
-	"vecstudy/internal/pg/heap"
-	"vecstudy/internal/pg/page"
+	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -39,550 +30,169 @@ func init() {
 	am.Register("ivfsq8", Build)
 }
 
-// centroid entry layout: full-precision vector (dim·4) then bucket
-// bookkeeping, exactly as ivfflat.
-const centroidTrailerSize = 16 // firstBlk u32 | lastBlk u32 | count u32 | pad u32
-
-// data entry layout: packed TID (6) + pad (2), the entry's code norm
-// Σ(Step_i·c_i)² as a little-endian float32 (4), then the d code bytes.
-// The stored norm is the code-side term of the decomposed asymmetric
-// distance (vec.SQ8.DecomposeQuery): computing it once at encode time
-// lets plain scans score each candidate with a single uint8 dot product
-// instead of the full subtract-square form. It is derived purely from
-// the code and the trained grid with fixed scalar arithmetic
-// (vec.SQ8.CodeNorm), so it is kernel-independent like the rest of the
-// on-disk layout.
-const (
-	dataEntryHeaderSize = 8
-	dataEntryNormSize   = 4
-	dataEntryCodeOff    = dataEntryHeaderSize + dataEntryNormSize
-)
-
-// statsChunkSize bounds one stats item: the min/step arrays are split
-// into page-item-sized chunks so any dimensionality fits the page size.
-const statsChunkSize = 4096
-
-// meta is item 1 of block 0.
-type meta struct {
-	Dim              uint32
-	NList            uint32
-	FirstCentroidBlk uint32
-	CentroidsPerPage uint32
-	FirstStatsBlk    uint32
-}
-
-func encodeMeta(m meta) []byte {
-	b := make([]byte, 20)
-	binary.LittleEndian.PutUint32(b[0:], m.Dim)
-	binary.LittleEndian.PutUint32(b[4:], m.NList)
-	binary.LittleEndian.PutUint32(b[8:], m.FirstCentroidBlk)
-	binary.LittleEndian.PutUint32(b[12:], m.CentroidsPerPage)
-	binary.LittleEndian.PutUint32(b[16:], m.FirstStatsBlk)
-	return b
-}
-
-func decodeMeta(b []byte) meta {
-	return meta{
-		Dim:              binary.LittleEndian.Uint32(b[0:]),
-		NList:            binary.LittleEndian.Uint32(b[4:]),
-		FirstCentroidBlk: binary.LittleEndian.Uint32(b[8:]),
-		CentroidsPerPage: binary.LittleEndian.Uint32(b[12:]),
-		FirstStatsBlk:    binary.LittleEndian.Uint32(b[16:]),
-	}
-}
-
 // Index is a built IVF_SQ8 index.
-type Index struct {
-	ctx  *am.BuildContext
-	meta meta
-
-	// centroidCache holds the full-precision centroids read once at open
-	// (probe selection is never quantized); sq holds the trained grid,
-	// loaded from the stats pages.
-	centroidCache []float32
-	sq            *vec.SQ8
-
-	mu sync.Mutex // serializes inserts and deletes
-
-	dead atomic.Int64 // tombstoned entries awaiting Maintain
-
-	stats BuildStats
-}
-
-// BuildStats reports the construction phases.
-type BuildStats struct {
-	TrainTime time.Duration
-	AddTime   time.Duration
-	NAdded    int
-}
-
-// Stats returns the build phase timings.
-func (ix *Index) Stats() BuildStats { return ix.stats }
-
-// AM implements am.Index.
-func (ix *Index) AM() string { return "ivfsq8" }
-
-// NList returns the number of buckets.
-func (ix *Index) NList() int { return int(ix.meta.NList) }
-
-// Quantizer exposes the trained grid (tests verify persistence).
-func (ix *Index) Quantizer() *vec.SQ8 { return ix.sq }
+type Index struct{ *ivf.Index }
 
 // Build trains centroids and the SQ8 grid over the table's vectors and
 // bulk-loads every row as a code. Options: clusters (c), sample_ratio
 // (sr), seed — the same knobs as ivfflat.
 func Build(ctx *am.BuildContext) (am.Index, error) {
-	nlist, err := pase.OptInt(ctx.Opts, "clusters", 256)
+	ix, err := ivf.Build(ctx, &Codec{})
 	if err != nil {
 		return nil, err
 	}
-	sr, err := pase.OptFloat(ctx.Opts, "sample_ratio", 0.01)
-	if err != nil {
-		return nil, err
-	}
-	seed, err := pase.OptInt(ctx.Opts, "seed", 0)
-	if err != nil {
-		return nil, err
-	}
-	if nlist <= 0 {
-		return nil, errors.New("pase/ivfsq8: clusters must be positive")
-	}
-
-	start := time.Now()
-	var tids []heap.TID
-	data := vec.NewFlat(ctx.Dim, 1024)
-	trainer := vec.NewSQ8Trainer(ctx.Dim)
-	err = ctx.Table.Scan(func(tid heap.TID, tup []byte) (bool, error) {
-		v, err := ctx.Table.Schema().VectorAt(tup, ctx.VecCol)
-		if err != nil {
-			return false, err
-		}
-		if len(v) != ctx.Dim {
-			return false, fmt.Errorf("pase/ivfsq8: row %v has dimension %d, index expects %d", tid, len(v), ctx.Dim)
-		}
-		tids = append(tids, tid)
-		data.Append(v)
-		trainer.Observe(v)
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	n := data.N()
-	if n < nlist {
-		return nil, fmt.Errorf("pase/ivfsq8: %d rows cannot form %d clusters", n, nlist)
-	}
-
-	res, err := kmeans.Train(data.Data, n, ctx.Dim, kmeans.Config{
-		K:           nlist,
-		Seed:        int64(seed),
-		SampleRatio: sr,
-		UseGemm:     false,
-		Threads:     1,
-		Flavor:      kmeans.FlavorPASE,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sq := trainer.Finish()
-	trainTime := time.Since(start)
-
-	addStart := time.Now()
-	ix := &Index{ctx: ctx, sq: sq}
-	if err := ix.initPages(res.Centroids, nlist, sq); err != nil {
-		return nil, err
-	}
-
-	d := ctx.Dim
-	code := make([]byte, d)
-	for i := 0; i < n; i++ {
-		x := data.Data[i*d : (i+1)*d]
-		cid := ix.nearestCentroid(x)
-		sq.Encode(x, code)
-		if err := ix.appendEntry(cid, code, tids[i]); err != nil {
-			return nil, err
-		}
-	}
-	ix.stats = BuildStats{TrainTime: trainTime, AddTime: time.Since(addStart), NAdded: n}
-	return ix, nil
+	return &Index{ix}, nil
 }
 
-// Open re-binds an existing index relation, reloading the centroid cache
-// and the persisted SQ8 grid from the stats pages.
-func Open(ctx *am.BuildContext) (am.Index, error) {
-	ix := &Index{ctx: ctx}
-	buf, err := ctx.Pool.Pin(ctx.Rel, 0)
-	if err != nil {
-		return nil, err
+// payload layout: the entry's code norm Σ(Step_i·c_i)² as a
+// little-endian float32, then the d code bytes. The stored norm is the
+// code-side term of the decomposed asymmetric distance
+// (vec.SQ8.DecomposeQuery): computing it once at encode time lets plain
+// scans score each candidate with a single uint8 dot product instead of
+// the full subtract-square form. It is derived purely from the code and
+// the trained grid with fixed scalar arithmetic (vec.SQ8.CodeNorm), so
+// it is kernel-independent like the rest of the on-disk layout.
+const normSize = 4
+
+// codeOff is where the code bytes start within a whole data entry.
+const codeOff = ivf.EntryHeaderSize + normSize
+
+// statsChunkSize bounds one aux item: the min/step arrays are split into
+// page-item-sized chunks so any dimensionality fits the page size.
+const statsChunkSize = 4096
+
+// Codec is the SQ8 ivf.Codec.
+type Codec struct{ sq *vec.SQ8 }
+
+// Name implements ivf.Codec.
+func (*Codec) Name() string { return "ivfsq8" }
+
+// Train implements ivf.Codec: the grid is the per-dimension [min, max]
+// of every indexed vector. It is never retrained — later out-of-range
+// values clamp to the edge cells, the standard SQ8 behaviour for
+// drifting data.
+func (c *Codec) Train(_ map[string]string, data []float32, dim int, _ []float32) error {
+	trainer := vec.NewSQ8Trainer(dim)
+	for i := 0; i+dim <= len(data); i += dim {
+		trainer.Observe(data[i : i+dim])
 	}
-	item, err := buf.Page().Item(1)
-	if err != nil {
-		buf.Release()
-		return nil, fmt.Errorf("pase/ivfsq8: reading meta page: %w", err)
-	}
-	ix.meta = decodeMeta(item)
-	buf.Release()
-	if int(ix.meta.Dim) != ctx.Dim {
-		return nil, fmt.Errorf("pase/ivfsq8: index dim %d != table dim %d", ix.meta.Dim, ctx.Dim)
-	}
-	if err := ix.loadStats(); err != nil {
-		return nil, err
-	}
-	return ix, ix.loadCentroidCache()
+	c.sq = trainer.Finish()
+	return nil
 }
 
-// initPages lays out the meta page, stats pages, and centroid pages.
-func (ix *Index) initPages(centroids []float32, nlist int, sq *vec.SQ8) error {
-	ctx := ix.ctx
-	d := ctx.Dim
-	entrySize := d*4 + centroidTrailerSize
-	usable := ctx.Pool.PageSize() - page.HeaderSize
-	perPage := usable / (entrySize + page.ItemIDSize + page.MaxAlign)
-	if perPage == 0 {
-		return fmt.Errorf("pase/ivfsq8: centroid entry of %d bytes does not fit page", entrySize)
+// Marshal implements ivf.Codec: the grid is serialized as one byte
+// stream (d mins then d steps, little-endian float32) split into page
+// items.
+func (c *Codec) Marshal() [][]byte {
+	d := c.sq.Dim()
+	raw := make([]byte, 8*d)
+	pase.PutFloat32s(raw, c.sq.Min)
+	pase.PutFloat32s(raw[4*d:], c.sq.Step)
+	var items [][]byte
+	for off := 0; off < len(raw); off += statsChunkSize {
+		items = append(items, raw[off:min(off+statsChunkSize, len(raw))])
 	}
-
-	metaBuf, metaBlk, err := ctx.Pool.NewPage(ctx.Rel)
-	if err != nil {
-		return err
-	}
-	if metaBlk != 0 {
-		metaBuf.Release()
-		return fmt.Errorf("pase/ivfsq8: meta page allocated at block %d", metaBlk)
-	}
-	page.Init(metaBuf.Page(), 0)
-
-	// Stats pages first: the trained grid is serialized as one byte
-	// stream (d mins then d steps, little-endian float32) split into
-	// page items, on a chain starting right after the meta page.
-	statsBlk, err := ix.writeStats(sq)
-	if err != nil {
-		metaBuf.Release()
-		return err
-	}
-	firstCentroidBlk, err := ix.writeCentroids(centroids, nlist, perPage, entrySize)
-	if err != nil {
-		metaBuf.Release()
-		return err
-	}
-
-	ix.meta = meta{
-		Dim:              uint32(d),
-		NList:            uint32(nlist),
-		FirstCentroidBlk: firstCentroidBlk,
-		CentroidsPerPage: uint32(perPage),
-		FirstStatsBlk:    statsBlk,
-	}
-	if _, err := metaBuf.Page().AddItem(encodeMeta(ix.meta)); err != nil {
-		metaBuf.Release()
-		return err
-	}
-	metaBuf.MarkDirty()
-	metaBuf.Release()
-	return ix.loadCentroidCache()
+	return items
 }
 
-// statsBytes serializes the grid: d mins then d steps.
-func statsBytes(sq *vec.SQ8) []byte {
-	d := sq.Dim()
-	out := make([]byte, 8*d)
-	pase.PutFloat32s(out, sq.Min)
-	pase.PutFloat32s(out[4*d:], sq.Step)
-	return out
+// Unmarshal implements ivf.Codec.
+func (c *Codec) Unmarshal(dim int, items [][]byte) error {
+	var raw []byte
+	for _, item := range items {
+		raw = append(raw, item...)
+	}
+	if len(raw) != 8*dim {
+		return fmt.Errorf("pase/ivfsq8: stats pages hold %d bytes, want %d", len(raw), 8*dim)
+	}
+	grid := make([]float32, 2*dim)
+	copy(grid, pase.Float32View(raw))
+	c.sq = &vec.SQ8{Min: grid[:dim:dim], Step: grid[dim:]}
+	return nil
 }
 
-// writeStats persists the grid onto a chain of stats pages and returns
-// the first block number.
-func (ix *Index) writeStats(sq *vec.SQ8) (uint32, error) {
-	ctx := ix.ctx
-	raw := statsBytes(sq)
-	first := pase.InvalidBlk
-	var prev *buffer.Buf
-	var prevBlk uint32
-	for off := 0; off < len(raw); {
-		buf, blk, err := ctx.Pool.NewPage(ctx.Rel)
-		if err != nil {
-			if prev != nil {
-				prev.Release()
-			}
-			return 0, err
+// PayloadSize implements ivf.Codec.
+func (c *Codec) PayloadSize() int { return normSize + c.sq.Dim() }
+
+// Encode implements ivf.Codec.
+func (c *Codec) Encode(x, _ []float32, payload []byte) {
+	code := payload[normSize:]
+	c.sq.Encode(x, code)
+	binary.LittleEndian.PutUint32(payload, math.Float32bits(c.sq.CodeNorm(code)))
+}
+
+// Rerank implements ivf.Codec: the k·β best candidates by code distance
+// are re-scored against the heap vectors (SET sq8_rerank, default 4).
+func (*Codec) Rerank() (string, int) { return "sq8_rerank", 4 }
+
+// NewScorer implements ivf.Codec. The query-side decomposition is the
+// same sequential transform whatever the batch, so each query's w and
+// ‖u‖² are bit-identical between solo and multi-query scans.
+func (c *Codec) NewScorer(kern vec.Kernel, queries [][]float32, pr *prof.Profile) ivf.Scorer {
+	s := &scorer{
+		kern: kern, sq: c.sq, queries: queries,
+		w: make([][]float32, len(queries)), unorm: make([]float32, len(queries)),
+		tDist: pr.Timer("fvec_L2sqr"),
+	}
+	for i, q := range queries {
+		s.w[i] = make([]float32, len(q))
+		s.unorm[i] = c.sq.DecomposeQuery(q, s.w[i])
+	}
+	return s
+}
+
+type scorer struct {
+	kern    vec.Kernel
+	sq      *vec.SQ8
+	queries [][]float32
+	w       [][]float32 // per query: its decomposition...
+	unorm   []float32   // ...and its ‖u‖²
+	tDist   *prof.Timer
+	codes   [][]byte
+	col     []float32
+}
+
+// Bucket implements ivf.Scorer.
+func (*scorer) Bucket([]float32, []int) {}
+
+// Score implements ivf.Scorer. A dense call scores the whole page per
+// kernel call in the decomposed form: dist_i = ‖u‖² − 2·(w·c_i) + norm_i,
+// with each entry's code norm read off the page where Encode stored it.
+// The per-candidate kernel work is then a bare uint8 dot product —
+// roughly a third of the direct subtract-square form. The reassembled
+// distance rounds differently from the direct form, which only moves
+// candidates at the k·β selection boundary; the full-precision re-rank
+// makes the returned distances exact either way. A sparse call carries
+// only predicate survivors — too few for the decomposition to pay — and
+// scores them in the direct form.
+func (s *scorer) Score(entries [][]byte, qs []int, sparse bool, out []float32) {
+	s.codes = slices.Grow(s.codes[:0], len(entries))
+	for _, e := range entries {
+		s.codes = append(s.codes, e[codeOff:])
+	}
+	n := len(qs)
+	col := out
+	if n > 1 {
+		if cap(s.col) < len(entries) {
+			s.col = make([]float32, len(entries))
 		}
-		page.Init(buf.Page(), pase.ChainSpecialSize)
-		pase.SetNextBlk(buf.Page(), pase.InvalidBlk)
-		if first == pase.InvalidBlk {
-			first = blk
-		}
-		if prev != nil {
-			pase.SetNextBlk(prev.Page(), blk)
-			prev.MarkDirty()
-			prev.Release()
-		}
-		for off < len(raw) {
-			end := off + statsChunkSize
-			if end > len(raw) {
-				end = len(raw)
-			}
-			if _, err := buf.Page().AddItem(raw[off:end]); err != nil {
-				if errors.Is(err, page.ErrPageFull) {
-					break
+		col = s.col[:len(entries)]
+	}
+	ts := s.tDist.Start()
+	for si, qi := range qs {
+		if sparse {
+			s.kern.L2SqrSQ8Batch(s.queries[qi], s.codes, s.sq, col)
+			if n > 1 {
+				for t := range entries {
+					out[t*n+si] = col[t]
 				}
-				buf.Release()
-				return 0, err
 			}
-			off = end
+			continue
 		}
-		buf.MarkDirty()
-		prev, prevBlk = buf, blk
-		_ = prevBlk
-	}
-	if prev != nil {
-		prev.Release()
-	}
-	return first, nil
-}
-
-// loadStats reads the persisted grid back from the stats chain.
-func (ix *Index) loadStats() error {
-	ctx := ix.ctx
-	d := int(ix.meta.Dim)
-	want := 8 * d
-	raw := make([]byte, 0, want)
-	blk := ix.meta.FirstStatsBlk
-	for blk != pase.InvalidBlk && len(raw) < want {
-		buf, err := ctx.Pool.Pin(ctx.Rel, blk)
-		if err != nil {
-			return err
-		}
-		pg := buf.Page()
-		for i := uint16(1); i <= pg.NumItems(); i++ {
-			item, err := pg.Item(i)
-			if err != nil {
-				buf.Release()
-				return err
-			}
-			raw = append(raw, item...)
-		}
-		blk = pase.NextBlk(pg)
-		buf.Release()
-	}
-	if len(raw) != want {
-		return fmt.Errorf("pase/ivfsq8: stats chain holds %d bytes, want %d", len(raw), want)
-	}
-	mins := make([]float32, d)
-	steps := make([]float32, d)
-	copy(mins, pase.Float32View(raw[:4*d]))
-	copy(steps, pase.Float32View(raw[4*d:]))
-	ix.sq = &vec.SQ8{Min: mins, Step: steps}
-	return nil
-}
-
-// writeCentroids lays out the centroid pages (ivfflat layout) and
-// returns the first centroid block.
-func (ix *Index) writeCentroids(centroids []float32, nlist, perPage, entrySize int) (uint32, error) {
-	ctx := ix.ctx
-	d := ctx.Dim
-	entry := make([]byte, entrySize)
-	written := 0
-	first := pase.InvalidBlk
-	for written < nlist {
-		buf, blk, err := ctx.Pool.NewPage(ctx.Rel)
-		if err != nil {
-			return 0, err
-		}
-		if first == pase.InvalidBlk {
-			first = blk
-		}
-		page.Init(buf.Page(), 0)
-		for i := 0; i < perPage && written < nlist; i++ {
-			pase.PutFloat32s(entry, centroids[written*d:(written+1)*d])
-			trailer := entry[d*4:]
-			binary.LittleEndian.PutUint32(trailer[0:], pase.InvalidBlk)
-			binary.LittleEndian.PutUint32(trailer[4:], pase.InvalidBlk)
-			binary.LittleEndian.PutUint32(trailer[8:], 0)
-			binary.LittleEndian.PutUint32(trailer[12:], 0)
-			if _, err := buf.Page().AddItem(entry); err != nil {
-				buf.Release()
-				return 0, err
-			}
-			written++
-		}
-		buf.MarkDirty()
-		buf.Release()
-	}
-	return first, nil
-}
-
-// loadCentroidCache reads every centroid vector into memory once.
-func (ix *Index) loadCentroidCache() error {
-	ctx := ix.ctx
-	d := int(ix.meta.Dim)
-	nlist := int(ix.meta.NList)
-	cache := make([]float32, 0, nlist*d)
-	read := 0
-	blk := ix.meta.FirstCentroidBlk
-	for read < nlist {
-		buf, err := ctx.Pool.Pin(ctx.Rel, blk)
-		if err != nil {
-			return err
-		}
-		pg := buf.Page()
-		n := int(pg.NumItems())
-		for i := 1; i <= n && read < nlist; i++ {
-			item, err := pg.Item(uint16(i))
-			if err != nil {
-				buf.Release()
-				return err
-			}
-			cache = append(cache, pase.Float32View(item[:d*4])...)
-			read++
-		}
-		buf.Release()
-		blk++
-	}
-	ix.centroidCache = cache
-	return nil
-}
-
-// centroidLoc maps a centroid ID to its page slot.
-func (ix *Index) centroidLoc(cid int) (uint32, uint16) {
-	per := int(ix.meta.CentroidsPerPage)
-	return ix.meta.FirstCentroidBlk + uint32(cid/per), uint16(cid%per) + 1
-}
-
-// refKern pins bucket assignment to the reference kernel: Insert and
-// Delete must re-derive the same bucket for a vector regardless of the
-// session's SET distance_kernel. Assignment runs on the full-precision
-// vector — the same input Build assigned from — never on the code.
-var refKern = vec.Ref()
-
-// nearestCentroid runs the scalar argmin over all centroids.
-func (ix *Index) nearestCentroid(x []float32) int {
-	d := int(ix.meta.Dim)
-	best, bestD := 0, refKern.L2Sqr(x, ix.centroidCache[:d])
-	for c := 1; c < int(ix.meta.NList); c++ {
-		if dd := refKern.L2Sqr(x, ix.centroidCache[c*d:(c+1)*d]); dd < bestD {
-			best, bestD = c, dd
+		s.kern.DotSQ8Batch(s.w[qi], s.codes, col)
+		unorm := s.unorm[qi]
+		for t, e := range entries {
+			out[t*n+si] = unorm - 2*col[t] + math.Float32frombits(binary.LittleEndian.Uint32(e[ivf.EntryHeaderSize:]))
 		}
 	}
-	return best
-}
-
-// appendEntry adds (code, tid) to bucket cid's data-page chain.
-func (ix *Index) appendEntry(cid int, code []byte, tid heap.TID) error {
-	ctx := ix.ctx
-	d := int(ix.meta.Dim)
-	blk, off := ix.centroidLoc(cid)
-
-	cbuf, err := ctx.Pool.Pin(ctx.Rel, blk)
-	if err != nil {
-		return err
-	}
-	centry, err := cbuf.Page().Item(off)
-	if err != nil {
-		cbuf.Release()
-		return err
-	}
-	trailer := centry[d*4:]
-	lastBlk := binary.LittleEndian.Uint32(trailer[4:])
-
-	entry := make([]byte, dataEntryCodeOff+d)
-	tid.Pack(entry)
-	binary.LittleEndian.PutUint32(entry[dataEntryHeaderSize:], math.Float32bits(ix.sq.CodeNorm(code)))
-	copy(entry[dataEntryCodeOff:], code)
-
-	if lastBlk != pase.InvalidBlk {
-		dbuf, err := ctx.Pool.Pin(ctx.Rel, lastBlk)
-		if err != nil {
-			cbuf.Release()
-			return err
-		}
-		if _, err := dbuf.Page().AddItem(entry); err == nil {
-			dbuf.MarkDirty()
-			dbuf.Release()
-			ix.bumpCount(cbuf, trailer)
-			cbuf.Release()
-			return nil
-		} else if !errors.Is(err, page.ErrPageFull) {
-			dbuf.Release()
-			cbuf.Release()
-			return err
-		}
-		nbuf, nblk, err := ctx.Pool.NewPage(ctx.Rel)
-		if err != nil {
-			dbuf.Release()
-			cbuf.Release()
-			return err
-		}
-		page.Init(nbuf.Page(), pase.ChainSpecialSize)
-		pase.SetNextBlk(nbuf.Page(), pase.InvalidBlk)
-		if _, err := nbuf.Page().AddItem(entry); err != nil {
-			nbuf.Release()
-			dbuf.Release()
-			cbuf.Release()
-			return err
-		}
-		nbuf.MarkDirty()
-		nbuf.Release()
-		pase.SetNextBlk(dbuf.Page(), nblk)
-		dbuf.MarkDirty()
-		dbuf.Release()
-		binary.LittleEndian.PutUint32(trailer[4:], nblk)
-		ix.bumpCount(cbuf, trailer)
-		cbuf.Release()
-		return nil
-	}
-
-	nbuf, nblk, err := ctx.Pool.NewPage(ctx.Rel)
-	if err != nil {
-		cbuf.Release()
-		return err
-	}
-	page.Init(nbuf.Page(), pase.ChainSpecialSize)
-	pase.SetNextBlk(nbuf.Page(), pase.InvalidBlk)
-	if _, err := nbuf.Page().AddItem(entry); err != nil {
-		nbuf.Release()
-		cbuf.Release()
-		return err
-	}
-	nbuf.MarkDirty()
-	nbuf.Release()
-	binary.LittleEndian.PutUint32(trailer[0:], nblk)
-	binary.LittleEndian.PutUint32(trailer[4:], nblk)
-	ix.bumpCount(cbuf, trailer)
-	cbuf.Release()
-	return nil
-}
-
-// bumpCount increments the bucket population stored in the centroid entry.
-func (ix *Index) bumpCount(cbuf *buffer.Buf, trailer []byte) {
-	binary.LittleEndian.PutUint32(trailer[8:], binary.LittleEndian.Uint32(trailer[8:])+1)
-	cbuf.MarkDirty()
-}
-
-// Insert implements am.Index: the vector is encoded on the trained grid
-// (the grid is never retrained — out-of-range values clamp to the edge
-// cells, the standard SQ8 behaviour for drifting data).
-func (ix *Index) Insert(v []float32, tid heap.TID) error {
-	if len(v) != int(ix.meta.Dim) {
-		return fmt.Errorf("pase/ivfsq8: inserting %d-dim vector into %d-dim index", len(v), ix.meta.Dim)
-	}
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	cid := ix.nearestCentroid(v)
-	code := make([]byte, ix.meta.Dim)
-	ix.sq.Encode(v, code)
-	if err := ix.appendEntry(cid, code, tid); err != nil {
-		return err
-	}
-	ix.stats.NAdded++
-	return nil
-}
-
-// SizeBytes reports the index relation's page footprint.
-func (ix *Index) SizeBytes() (int64, error) {
-	nblocks, err := ix.ctx.Pool.NumBlocks(ix.ctx.Rel)
-	if err != nil {
-		return 0, err
-	}
-	return int64(nblocks) * int64(ix.ctx.Pool.PageSize()), nil
+	s.tDist.Stop(ts)
 }

@@ -1,7 +1,6 @@
 package ivfsq8
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -144,161 +143,6 @@ func TestSearchMatchesExactAfterRerank(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestMultiSearchMatchesSolo: the batched path must be byte-identical
-// to per-query calls, filtered and unfiltered, under every registered
-// kernel (the group key pins one kernel per batch).
-func TestMultiSearchMatchesSolo(t *testing.T) {
-	fx := newFixture(t)
-	ix := fx.build(t)
-	const B, k = 5, 7
-	queries := make([][]float32, B)
-	ks := make([]int, B)
-	for i := range queries {
-		queries[i] = queryVec(int64(200 + i))
-		ks[i] = k
-	}
-	evenPred := func(tid heap.TID) (bool, error) {
-		for i, tt := range fx.tids {
-			if tt == tid {
-				return i%2 == 0, nil
-			}
-		}
-		return false, nil
-	}
-	for _, name := range vec.RegisteredKernelNames() {
-		params := exhaustive()
-		params["distance_kernel"] = name
-		// Unfiltered.
-		multi, err := ix.MultiSearch(queries, ks, params, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range queries {
-			solo, err := ix.Search(queries[i], ks[i], params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResults(t, name+"/plain", i, multi[i], solo)
-		}
-		// Filtered.
-		preds := make([]am.Predicate, B)
-		for i := range preds {
-			preds[i] = evenPred
-		}
-		multi, err = ix.MultiSearch(queries, ks, params, preds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range queries {
-			solo, err := ix.SearchFiltered(queries[i], ks[i], params, evenPred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameResults(t, name+"/filtered", i, multi[i], solo)
-		}
-	}
-}
-
-func assertSameResults(t *testing.T, label string, qi int, got, want []am.Result) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s q=%d: batched %d results, solo %d", label, qi, len(got), len(want))
-	}
-	for j := range got {
-		if got[j].TID != want[j].TID || math.Float32bits(got[j].Dist) != math.Float32bits(want[j].Dist) {
-			t.Fatalf("%s q=%d rank %d: batched (%v, %x) != solo (%v, %x)",
-				label, qi, j, got[j].TID, math.Float32bits(got[j].Dist),
-				want[j].TID, math.Float32bits(want[j].Dist))
-		}
-	}
-}
-
-// TestOpenReloadsPersistedStats: Open on the already-written relation
-// must reload the identical quantization grid from the stats pages and
-// answer queries byte-identically.
-func TestOpenReloadsPersistedStats(t *testing.T) {
-	fx := newFixture(t)
-	built := fx.build(t)
-	q := queryVec(300)
-	want, err := built.Search(q, 10, exhaustive())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	reopened, err := Open(fx.ctx(indexRel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ro := reopened.(*Index)
-	for j := 0; j < testDim; j++ {
-		if math.Float32bits(ro.sq.Min[j]) != math.Float32bits(built.sq.Min[j]) ||
-			math.Float32bits(ro.sq.Step[j]) != math.Float32bits(built.sq.Step[j]) {
-			t.Fatalf("dim %d: reloaded grid (%v, %v) != trained (%v, %v)",
-				j, ro.sq.Min[j], ro.sq.Step[j], built.sq.Min[j], built.sq.Step[j])
-		}
-	}
-	got, err := ro.Search(q, 10, exhaustive())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, "reopened", 0, got, want)
-}
-
-// TestDeleteMaintainChurn: tombstoned codes vanish from results
-// immediately; Maintain reclaims them and results stay exact.
-func TestDeleteMaintainChurn(t *testing.T) {
-	fx := newFixture(t)
-	ix := fx.build(t)
-	q := queryVec(400)
-	before, err := ix.Search(q, 5, exhaustive())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Delete the current top result from heap and index.
-	victim := before[0].TID
-	var vi int
-	for i, tt := range fx.tids {
-		if tt == victim {
-			vi = i
-			break
-		}
-	}
-	found, err := ix.Delete(fx.vecs[vi], victim)
-	if err != nil || !found {
-		t.Fatalf("Delete = (%v, %v)", found, err)
-	}
-	if ok, err := fx.tbl.Delete(victim); err != nil || !ok {
-		t.Fatalf("heap Delete = (%v, %v)", ok, err)
-	}
-	if got := ix.DeadCount(); got != 1 {
-		t.Fatalf("DeadCount = %d, want 1", got)
-	}
-	after, err := ix.Search(q, 5, exhaustive())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range after {
-		if r.TID == victim {
-			t.Fatal("deleted TID still surfaced")
-		}
-	}
-	removed, err := ix.Maintain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 {
-		t.Fatalf("Maintain removed %d, want 1", removed)
-	}
-	if got := ix.DeadCount(); got != 0 {
-		t.Fatalf("post-Maintain DeadCount = %d", got)
-	}
-	again, err := ix.Search(q, 5, exhaustive())
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, "post-maintain", 0, again, after)
 }
 
 // TestIndexSmallerThanIvfflat: byte codes shrink the data entries 4x

@@ -64,6 +64,9 @@ func (ix *Index) SearchFiltered(query []float32, k int, params map[string]string
 // Search implements am.Index: full candidate materialization plus
 // comparison sort, then a heap re-fetch per returned row.
 func (ix *Index) Search(query []float32, k int, params map[string]string) ([]am.Result, error) {
+	if err := ix.inner.CheckQuery(query, k); err != nil {
+		return nil, err
+	}
 	nprobe, err := pase.OptInt(params, "nprobe", 20)
 	if err != nil {
 		return nil, err
