@@ -129,7 +129,7 @@ func rc6(ds *vecstudy.Dataset, base vecstudy.Params) {
 	}
 	defer gen.Close()
 	for _, heap := range []string{"n", "k"} {
-		gen.AMParams()["heap"] = heap
+		gen.ScanOpts().HeapK = heap == "k"
 		res, err := vecstudy.RunSearch(gen, ds, base.K)
 		if err != nil {
 			log.Fatal(err)

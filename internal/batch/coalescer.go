@@ -41,7 +41,7 @@ type pending struct {
 // cap — and exactly once (flushed guards the race between the two).
 type group struct {
 	co      *Coalescer
-	key     string
+	key     sql.GroupKey
 	max     int
 	timer   *time.Timer
 	members []*pending
@@ -53,7 +53,7 @@ type group struct {
 // whole server; sessions funnel into it through batch.Session.
 type Coalescer struct {
 	mu     sync.Mutex
-	groups map[string]*group
+	groups map[sql.GroupKey]*group
 
 	probes       atomic.Int64 // multi-query probes flushed
 	batched      atomic.Int64 // queries served through a probe
@@ -64,7 +64,7 @@ type Coalescer struct {
 
 // NewCoalescer returns an empty coalescer.
 func NewCoalescer() *Coalescer {
-	return &Coalescer{groups: make(map[string]*group)}
+	return &Coalescer{groups: make(map[sql.GroupKey]*group)}
 }
 
 // Submit parks q in its group until the group flushes, then returns q's
@@ -72,9 +72,6 @@ func NewCoalescer() *Coalescer {
 // goroutine — which is what keeps sessions single-threaded: the session
 // cannot issue another statement while one is coalescing.
 func (c *Coalescer) Submit(q *sql.VectorQuery, window time.Duration, max int) (*sql.Result, error) {
-	if max < 1 {
-		max = 1
-	}
 	p := &pending{q: q, ch: make(chan outcome, 1)}
 	key := q.GroupKey()
 

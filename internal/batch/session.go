@@ -1,11 +1,6 @@
 package batch
 
-import (
-	"strconv"
-	"time"
-
-	"vecstudy/internal/pg/sql"
-)
+import "vecstudy/internal/pg/sql"
 
 // Session wraps a sql.Session with query coalescing. It satisfies the
 // server's Session contract structurally (Execute(string) (*sql.Result,
@@ -38,22 +33,10 @@ func (s *Session) Execute(text string) (*sql.Result, error) {
 		s.co.unbatchable.Add(1)
 		return q.Run()
 	}
-	window := settingInt(s.inner, sql.BatchWindowSetting, 0)
+	window, max := s.inner.BatchKnobs()
 	if window <= 0 {
 		s.co.solo.Add(1)
 		return q.Run()
 	}
-	max := settingInt(s.inner, sql.BatchMaxSetting, 32)
-	return s.co.Submit(q, time.Duration(window)*time.Microsecond, max)
-}
-
-// settingInt reads a knob's effective value as an integer; SET
-// validation guarantees parseability, so def only covers an unknown
-// name.
-func settingInt(s *sql.Session, name string, def int) int {
-	n, err := strconv.Atoi(s.EffectiveSetting(name))
-	if err != nil {
-		return def
-	}
-	return n
+	return s.co.Submit(q, window, max)
 }

@@ -125,7 +125,7 @@ func runAblationHeap(cfg *Config) error {
 	defer gen.Close()
 	cfg.printf("heap     avg_query   recall@k\n")
 	for _, heapMode := range []string{"n", "k"} {
-		gen.AMParams()["heap"] = heapMode
+		gen.ScanOpts().HeapK = heapMode == "k"
 		if err := core.WarmUp(gen, ds, p.K, 4); err != nil {
 			return err
 		}

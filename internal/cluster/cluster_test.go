@@ -601,6 +601,34 @@ func TestBatchKnobReplay(t *testing.T) {
 	}
 }
 
+// TestRejectedScanKnobNotReplayed: the router validates a scan knob at
+// record time, so a bad value is that SET's error and is never recorded
+// — recorded, it would be replayed onto every shard connection and
+// fail (or silently skew) each later kNN of the session there.
+func TestRejectedScanKnobNotReplayed(t *testing.T) {
+	h := newHarness(t, 1, 1)
+	rs := h.router(Config{HealthInterval: -1}).NewSession()
+	loadLine(t, rs, 120)
+	mustExec(t, rs, "SET nprobe = 8")
+	for _, bad := range []string{"SET nprobe = abc", "SET efs = x", "SET threads = -3", "SET heap = foo"} {
+		if _, err := rs.Execute(bad); err == nil {
+			t.Errorf("router accepted %s", bad)
+		}
+	}
+	sess := rs.(*Session)
+	if len(sess.sets) != 1 || sess.sets[0].Value != "8" {
+		t.Errorf("recorded SETs = %+v, want only nprobe = 8", sess.sets)
+	}
+	if res := mustExec(t, rs, "SHOW nprobe"); res.Rows[0][0].(string) != "8" {
+		t.Errorf("router SHOW nprobe = %v, want 8", res.Rows[0][0])
+	}
+	// Replays the recorded SETs onto both shard connections first.
+	got := ids(t, mustExec(t, rs, "SELECT id FROM t ORDER BY vec <-> '{40, 40, 0, 0}' LIMIT 3"))
+	if len(got) != 3 || got[0] != 40 {
+		t.Errorf("kNN after rejected SETs: got %v, want nearest 40", got)
+	}
+}
+
 // TestClusterDynamicParity broadcasts DELETE/UPDATE/VACUUM through the
 // router at 2 and 4 shards and demands (a) mutation counts sum across
 // shards, (b) post-churn kNN answers match a single-node database that

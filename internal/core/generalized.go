@@ -26,7 +26,7 @@ type GeneralizedIndex struct {
 	db     *db.DB
 	table  *heap.Table
 	idx    am.Index
-	scan   map[string]string
+	scan   am.ScanOpts
 }
 
 // amName maps (kind, engine) to the registered access-method name.
@@ -146,12 +146,9 @@ func buildGeneralized(kind IndexKind, engine Engine, ds *dataset.Dataset, p Para
 
 	gi := &GeneralizedIndex{
 		kind: kind, engine: engine, params: p, db: d, table: tbl, idx: idx,
-		scan: map[string]string{
-			"nprobe":  strconv.Itoa(p.NProbe),
-			"efs":     strconv.Itoa(p.EFS),
-			"threads": strconv.Itoa(p.SearchThreads),
-		},
+		scan: *am.DefaultScanOpts(),
 	}
+	gi.scan.NProbe, gi.scan.EFS, gi.scan.Threads = p.NProbe, p.EFS, p.SearchThreads
 	return gi, res, nil
 }
 
@@ -165,12 +162,12 @@ func (gi *GeneralizedIndex) Kind() IndexKind { return gi.kind }
 // result to project the id column. A hit whose tuple has been deleted
 // since the index was built is skipped, not resurrected.
 func (gi *GeneralizedIndex) Search(query []float32, k int) ([]int64, error) {
-	hits, err := gi.idx.Search(query, k, gi.scan)
+	hits, err := gi.idx.Scan([]am.Query{{Vec: query, K: k}}, &gi.scan)
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]int64, 0, len(hits))
-	for _, h := range hits {
+	ids := make([]int64, 0, len(hits[0]))
+	for _, h := range hits[0] {
 		_, err := gi.table.GetVisible(h.TID, func(tup []byte) error {
 			vals, err := gi.table.Schema().Decode(tup)
 			if err != nil {
@@ -201,19 +198,19 @@ func (gi *GeneralizedIndex) Close() error { return gi.db.Close() }
 // SetSearchParams adjusts scan-time knobs between workloads.
 func (gi *GeneralizedIndex) SetSearchParams(nprobe, efs, threads int) {
 	if nprobe > 0 {
-		gi.scan["nprobe"] = strconv.Itoa(nprobe)
+		gi.scan.NProbe = nprobe
 	}
 	if efs > 0 {
-		gi.scan["efs"] = strconv.Itoa(efs)
+		gi.scan.EFS = efs
 	}
 	if threads > 0 {
-		gi.scan["threads"] = strconv.Itoa(threads)
+		gi.scan.Threads = threads
 	}
 }
 
-// AMParams exposes the scan-parameter map passed to the access method on
-// every search; ablations use it to set AM-specific knobs (e.g. heap=k).
-func (gi *GeneralizedIndex) AMParams() map[string]string { return gi.scan }
+// ScanOpts exposes the options passed to the access method on every
+// search; ablations use it to flip AM-specific knobs (e.g. HeapK).
+func (gi *GeneralizedIndex) ScanOpts() *am.ScanOpts { return &gi.scan }
 
 // AM exposes the underlying access method (for centroid transplants and
 // structure inspection).

@@ -1,6 +1,6 @@
 // Package maintenance is the VACUUM-style worker for the dynamic-data
 // subsystem: it reclaims dead heap space (page compaction), runs every
-// mutable index's Maintain pass (HNSW graph repair, IVF list
+// index's Maintain pass (HNSW graph repair, IVF list
 // compaction), and rebuilds the planner's reservoir sample. It runs in
 // two modes: on demand (the SQL VACUUM statement, or the executor's
 // auto-vacuum trigger when a table's dead fraction crosses SET
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"vecstudy/internal/pg/am"
 	"vecstudy/internal/pg/db"
 	"vecstudy/internal/pg/heap"
 )
@@ -45,11 +44,7 @@ func VacuumTable(d *db.DB, table string) (Report, error) {
 		if err != nil {
 			continue // catalogued but not rebuilt this session
 		}
-		mi, ok := idx.(am.MutableIndex)
-		if !ok {
-			continue
-		}
-		removed, err := mi.Maintain()
+		removed, err := idx.Maintain()
 		if err != nil {
 			return rep, fmt.Errorf("maintenance: index %q: %w", im.Name, err)
 		}

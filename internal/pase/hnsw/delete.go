@@ -51,7 +51,7 @@ func (ix *Index) setTombstone(v VID) error {
 	return err
 }
 
-// Delete implements am.MutableIndex. The vector argument is unused:
+// Delete implements am.Index. The vector argument is unused:
 // unlike IVF's deterministic coarse assignment, a vector does not locate
 // its HNSW vertex, so the lookup goes through the in-memory TID map.
 func (ix *Index) Delete(_ []float32, tid heap.TID) (bool, error) {
@@ -73,10 +73,10 @@ func (ix *Index) Delete(_ []float32, tid heap.TID) (bool, error) {
 	return true, ix.saveMeta()
 }
 
-// DeadCount implements am.MutableIndex.
+// DeadCount implements am.Index.
 func (ix *Index) DeadCount() int64 { return ix.dead.Load() }
 
-// Maintain implements am.MutableIndex: graph repair. For every live
+// Maintain implements am.Index: graph repair. For every live
 // vertex whose adjacency list references a tombstoned vertex, the list
 // is rebuilt from its remaining live neighbors plus the dead vertices'
 // own live neighbors (one-hop reconnection), re-ranked by the standard

@@ -49,6 +49,8 @@ type Index struct {
 	dead  atomic.Int64 // tombstoned vertices awaiting Maintain
 }
 
+var _ am.Index = (*Index)(nil)
+
 // AM implements am.Index.
 func (ix *Index) AM() string { return "hnsw" }
 
@@ -599,8 +601,8 @@ func (ix *Index) tidOf(v VID) (heap.TID, error) {
 
 // refKern pins graph construction and repair to the ref kernel: the
 // edges a vertex gets (and the repairs Delete/Maintain perform) must not
-// depend on the session's SET distance_kernel. Search paths resolve the
-// session kernel via pase.KernelOpt and thread it through distTo.
+// depend on the session's SET distance_kernel. Search paths thread the
+// session kernel (am.ScanOpts.Kernel) through distTo.
 var refKern = vec.Ref()
 
 // distTo computes the distance between query and the vertex's vector,

@@ -3,8 +3,6 @@ package ivf_test
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"testing"
 
 	"vecstudy/internal/pase/ivf"
@@ -29,45 +27,7 @@ var codecs = []struct {
 	{"ivfsq8", func() ivf.Codec { return &ivfsq8.Codec{} }, true, 1},
 }
 
-// chassisIndex is the full surface the three IVF access methods share.
-type chassisIndex interface {
-	am.FilteredIndex
-	am.BatchIndex
-	am.MutableIndex
-}
-
 const fullProbe = "32" // amOpts builds 32 clusters
-
-func (fx *fixture) buildIVF(t testing.TB, amName string) chassisIndex {
-	t.Helper()
-	return fx.build(t, amName).(chassisIndex)
-}
-
-// bruteTopK is the oracle: exact top-k over the live rows, ref kernel.
-func (fx *fixture) bruteTopK(q []float32, k int, live func(row int) bool) []heap.TID {
-	ref := vec.Ref()
-	type cand struct {
-		row int
-		d   float32
-	}
-	var cands []cand
-	for i, v := range fx.vecs {
-		if live == nil || live(i) {
-			cands = append(cands, cand{i, ref.L2Sqr(q, v)})
-		}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].d != cands[b].d {
-			return cands[a].d < cands[b].d
-		}
-		return cands[a].row < cands[b].row
-	})
-	out := make([]heap.TID, 0, k)
-	for i := 0; i < k && i < len(cands); i++ {
-		out = append(out, fx.tids[cands[i].row])
-	}
-	return out
-}
 
 func assertSame(t *testing.T, label string, got, want []am.Result) {
 	t.Helper()
@@ -83,26 +43,22 @@ func assertSame(t *testing.T, label string, got, want []am.Result) {
 }
 
 // soloAll answers the batch one query at a time.
-func soloAll(t *testing.T, ix chassisIndex, qs [][]float32, ks []int, params map[string]string, preds []am.Predicate) [][]am.Result {
+func soloAll(t *testing.T, ix am.Index, qs [][]float32, ks []int, params map[string]string, preds []am.Predicate) [][]am.Result {
 	t.Helper()
+	opts := scanOpts(t, params)
 	out := make([][]am.Result, len(qs))
-	for i, q := range qs {
+	for i, q := range batchOf(qs, ks, preds) {
 		var err error
-		if preds != nil && preds[i] != nil {
-			out[i], err = ix.SearchFiltered(q, ks[i], params, preds[i])
-		} else {
-			out[i], err = ix.Search(q, ks[i], params)
-		}
-		if err != nil {
+		if out[i], err = scanOne(ix, q, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return out
 }
 
-func assertMultiMatchesSolo(t *testing.T, label string, ix chassisIndex, qs [][]float32, ks []int, params map[string]string, preds []am.Predicate) {
+func assertMultiMatchesSolo(t *testing.T, label string, ix am.Index, qs [][]float32, ks []int, params map[string]string, preds []am.Predicate) {
 	t.Helper()
-	multi, err := ix.MultiSearch(qs, ks, params, preds)
+	multi, err := ix.Scan(batchOf(qs, ks, preds), scanOpts(t, params))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,16 +71,16 @@ func TestRecallAtFullProbe(t *testing.T) {
 	fx := newFixture(t, 3000, 8192, 1024)
 	for _, c := range codecs {
 		t.Run(c.am, func(t *testing.T) {
-			ix := fx.buildIVF(t, c.am)
+			ix := fx.build(t, c.am)
 			const k = 10
 			hit, total := 0, 0
 			for _, q := range queries(5, 20) {
-				got, err := ix.Search(q, k, map[string]string{"nprobe": fullProbe})
+				got, err := scanOne(ix, am.Query{Vec: q, K: k}, scanOpts(t, map[string]string{"nprobe": fullProbe}))
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := map[heap.TID]bool{}
-				for _, tid := range fx.bruteTopK(q, k, nil) {
+				for _, tid := range fx.BruteTopK(q, k, nil) {
 					want[tid] = true
 				}
 				for _, r := range got {
@@ -141,16 +97,16 @@ func TestRecallAtFullProbe(t *testing.T) {
 	}
 }
 
-// TestMultiSearchMatchesSolo: the batched path must be byte-identical to
+// TestBatchedScanMatchesSolo: the batched path must be byte-identical to
 // per-query calls across kernel × top-k policy × predicate (a batch
 // group never mixes kernels or knobs).
-func TestMultiSearchMatchesSolo(t *testing.T) {
+func TestBatchedScanMatchesSolo(t *testing.T) {
 	fx := newFixture(t, 3000, 8192, 1024)
 	qs := queries(6, 7)
 	ks := []int{7, 1, 10, 7, 30, 7, 3}
-	mixed := []am.Predicate{nil, fx.predMod(2), nil, fx.predMod(5), nil, fx.predMod(3), nil}
+	mixed := []am.Predicate{nil, fx.PredMod(2), nil, fx.PredMod(5), nil, fx.PredMod(3), nil}
 	for _, c := range codecs {
-		ix := fx.buildIVF(t, c.am)
+		ix := fx.build(t, c.am)
 		for _, kernel := range vec.RegisteredKernelNames() {
 			for _, heapMode := range []string{"n", "k"} {
 				for predName, preds := range map[string][]am.Predicate{"nil": nil, "mixed": mixed} {
@@ -194,12 +150,12 @@ func TestPinnedWalkFlushesUnderPoolPressure(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pages := int(size) / fx.pageSize; pages/2 <= frames {
+			if pages := int(size) / fx.PageSize; pages/2 <= frames {
 				t.Fatalf("%d index pages over 2 buckets: chains fit the %d-frame pool, nothing would flush", pages, frames)
 			}
 			params := map[string]string{"nprobe": "2"}
 			assertMultiMatchesSolo(t, c.am+"/plain", ix, qs, ks, params, nil)
-			assertMultiMatchesSolo(t, c.am+"/filtered", ix, qs, ks, params, []am.Predicate{nil, fx.predMod(2), nil, nil})
+			assertMultiMatchesSolo(t, c.am+"/filtered", ix, qs, ks, params, []am.Predicate{nil, fx.PredMod(2), nil, nil})
 		})
 	}
 }
@@ -207,11 +163,12 @@ func TestPinnedWalkFlushesUnderPoolPressure(t *testing.T) {
 // pinsPerSearch counts the buffer pins one search takes.
 func (fx *fixture) pinsPerSearch(t *testing.T, ix am.Index, q []float32) int64 {
 	t.Helper()
-	before := fx.pool.Stats()
-	if _, err := ix.Search(q, 10, map[string]string{"nprobe": fullProbe}); err != nil {
+	opts := scanOpts(t, map[string]string{"nprobe": fullProbe})
+	before := fx.Pool.Stats()
+	if _, err := scanOne(ix, am.Query{Vec: q, K: 10}, opts); err != nil {
 		t.Fatal(err)
 	}
-	after := fx.pool.Stats()
+	after := fx.Pool.Stats()
 	return (after.Hits + after.Misses) - (before.Hits + before.Misses)
 }
 
@@ -225,7 +182,7 @@ func TestDeleteMaintainInsert(t *testing.T) {
 		t.Run(c.am, func(t *testing.T) {
 			// 2 KiB pages: every codec's ~94-entry buckets span several pages.
 			fx := newFixture(t, 3000, 2048, 2048)
-			ix := fx.buildIVF(t, c.am)
+			ix := fx.build(t, c.am)
 			full := map[string]string{"nprobe": fullProbe}
 			qs := queries(8, 5)
 			ks := []int{10, 10, 10, 10, 10}
@@ -233,19 +190,19 @@ func TestDeleteMaintainInsert(t *testing.T) {
 			// Delete two rows in three, from the heap and the index.
 			live := func(row int) bool { return row%3 == 0 }
 			var deleted int64
-			for row, tid := range fx.tids {
+			for row, tid := range fx.TIDs {
 				if live(row) {
 					continue
 				}
-				if found, err := ix.Delete(fx.vecs[row], tid); err != nil || !found {
+				if found, err := ix.Delete(fx.Vecs[row], tid); err != nil || !found {
 					t.Fatalf("Delete row %d = (%v, %v)", row, found, err)
 				}
-				if ok, err := fx.tbl.Delete(tid); err != nil || !ok {
+				if ok, err := fx.Table.Delete(tid); err != nil || !ok {
 					t.Fatalf("heap Delete row %d = (%v, %v)", row, ok, err)
 				}
 				deleted++
 			}
-			if found, err := ix.Delete(fx.vecs[1], fx.tids[1]); err != nil || found {
+			if found, err := ix.Delete(fx.Vecs[1], fx.TIDs[1]); err != nil || found {
 				t.Fatalf("second Delete of one entry = (%v, %v), want (false, nil)", found, err)
 			}
 			if got := ix.DeadCount(); got != deleted {
@@ -254,8 +211,8 @@ func TestDeleteMaintainInsert(t *testing.T) {
 			tombstoned := soloAll(t, ix, qs, ks, full, nil)
 			for i, rows := range tombstoned {
 				for _, r := range rows {
-					if !live(fx.row[r.TID]) {
-						t.Fatalf("q=%d: deleted row %d still surfaced", i, fx.row[r.TID])
+					if !live(fx.Row[r.TID]) {
+						t.Fatalf("q=%d: deleted row %d still surfaced", i, fx.Row[r.TID])
 					}
 				}
 			}
@@ -276,13 +233,13 @@ func TestDeleteMaintainInsert(t *testing.T) {
 			for i := range qs {
 				assertSame(t, fmt.Sprintf("post-maintain q=%d", i), compacted[i], tombstoned[i])
 			}
-			assertMultiMatchesSolo(t, "compacted", ix, qs, ks, full, []am.Predicate{nil, fx.predMod(2), nil, nil, nil})
+			assertMultiMatchesSolo(t, "compacted", ix, qs, ks, full, []am.Predicate{nil, fx.PredMod(2), nil, nil, nil})
 
 			// A fresh build over the survivors trains other centroids (and
 			// other PQ codebooks), so only exact codecs can be held to the
 			// same rows and distances; at full probe they must be.
 			if c.exact {
-				fresh := soloAll(t, fx.buildIVF(t, c.am), qs, ks, full, nil)
+				fresh := soloAll(t, fx.build(t, c.am), qs, ks, full, nil)
 				for i := range qs {
 					assertSame(t, fmt.Sprintf("fresh rebuild q=%d", i), compacted[i], fresh[i])
 				}
@@ -297,11 +254,11 @@ func TestDeleteMaintainInsert(t *testing.T) {
 			}
 			const inserts = 40
 			for _, v := range queries(9, inserts) {
-				tid := fx.insert(t, v)
+				tid := fx.Insert(t, v)
 				if err := ix.Insert(v, tid); err != nil {
 					t.Fatal(err)
 				}
-				rows, err := ix.Search(v, 10, full)
+				rows, err := scanOne(ix, am.Query{Vec: v, K: 10}, scanOpts(t, full))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -317,7 +274,7 @@ func TestDeleteMaintainInsert(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if grown := int(sizeAfter-sizeBefore) / fx.pageSize; grown*4 > inserts {
+			if grown := int(sizeAfter-sizeBefore) / fx.PageSize; grown*4 > inserts {
 				t.Errorf("%d inserts after compaction opened %d new pages: the repacked tails were not reused", inserts, grown)
 			}
 		})
@@ -331,7 +288,7 @@ func TestOpenAnswersLikeBuild(t *testing.T) {
 	fx := newFixture(t, 3000, 8192, 1024)
 	qs := queries(10, 5)
 	ks := []int{10, 3, 10, 10, 10}
-	preds := []am.Predicate{nil, nil, fx.predMod(2), nil, fx.predMod(3)}
+	preds := []am.Predicate{nil, nil, fx.PredMod(2), nil, fx.PredMod(3)}
 	for _, c := range codecs {
 		ctx := fx.ctx(t, c.am)
 		built, err := ivf.Build(ctx, c.codec())
@@ -346,7 +303,7 @@ func TestOpenAnswersLikeBuild(t *testing.T) {
 		for i, got := range soloAll(t, opened, qs, ks, nil, preds) {
 			assertSame(t, fmt.Sprintf("%s solo q=%d", c.am, i), got, want[i])
 		}
-		multi, err := opened.MultiSearch(qs, ks, nil, preds)
+		multi, err := opened.Scan(batchOf(qs, ks, preds), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,34 +319,31 @@ func TestOpenAnswersLikeBuild(t *testing.T) {
 	}
 }
 
-// TestArgumentValidation: every entry point rejects k <= 0 and vectors
-// of the wrong dimensionality with an error — never a panic, never a
-// silent rank on a prefix.
+// TestArgumentValidation: a scan rejects k <= 0 and vectors of the wrong
+// dimensionality — solo, filtered, or anywhere in a batch — with an
+// error: never a panic, never a silent rank on a prefix. Insert, Delete
+// and ScanProbes check dimensions the same way.
 func TestArgumentValidation(t *testing.T) {
 	fx := newFixture(t, 600, 8192, 256)
 	good := queries(11, 1)[0]
-	pred := fx.predMod(2)
+	pred := fx.PredMod(2)
 	for _, name := range []string{"ivfflat", "ivfpq", "ivfsq8", "pgv_ivfflat"} {
 		ix := fx.build(t, name)
-		filtered := ix.(am.FilteredIndex)
-		mutable := ix.(am.MutableIndex)
 		for _, bad := range [][]float32{good[:fxDim-1], append(append([]float32(nil), good...), 1), nil} {
-			if _, err := ix.Search(bad, 5, nil); err == nil {
-				t.Errorf("%s: Search accepted a %d-dim query", name, len(bad))
+			if _, err := scanOne(ix, am.Query{Vec: bad, K: 5}, nil); err == nil {
+				t.Errorf("%s: solo scan accepted a %d-dim query", name, len(bad))
 			}
-			if _, err := filtered.SearchFiltered(bad, 5, nil, pred); err == nil {
-				t.Errorf("%s: SearchFiltered accepted a %d-dim query", name, len(bad))
+			if _, err := scanOne(ix, am.Query{Vec: bad, K: 5, Pred: pred}, nil); err == nil {
+				t.Errorf("%s: filtered scan accepted a %d-dim query", name, len(bad))
 			}
 			if err := ix.Insert(bad, heap.TID{Blk: 1, Off: 1}); err == nil {
 				t.Errorf("%s: Insert accepted a %d-dim vector", name, len(bad))
 			}
-			if _, err := mutable.Delete(bad, fx.tids[0]); err == nil {
+			if _, err := ix.Delete(bad, fx.TIDs[0]); err == nil {
 				t.Errorf("%s: Delete accepted a %d-dim vector", name, len(bad))
 			}
-			if batch, ok := ix.(am.BatchIndex); ok {
-				if _, err := batch.MultiSearch([][]float32{good, bad}, []int{5, 5}, nil, nil); err == nil {
-					t.Errorf("%s: MultiSearch accepted a %d-dim query", name, len(bad))
-				}
+			if _, err := ix.Scan([]am.Query{{Vec: good, K: 5}, {Vec: bad, K: 5}}, nil); err == nil {
+				t.Errorf("%s: batched scan accepted a %d-dim query", name, len(bad))
 			}
 			if flat, ok := ix.(*ivfflat.Index); ok {
 				if err := flat.ScanProbes(vec.Default(), bad, 4, func(heap.TID, float32) {}); err == nil {
@@ -398,81 +352,88 @@ func TestArgumentValidation(t *testing.T) {
 			}
 		}
 		for _, k := range []int{0, -1} {
-			if _, err := ix.Search(good, k, nil); err == nil {
-				t.Errorf("%s: Search accepted k=%d", name, k)
+			if _, err := scanOne(ix, am.Query{Vec: good, K: k}, nil); err == nil {
+				t.Errorf("%s: solo scan accepted k=%d", name, k)
 			}
-			if _, err := filtered.SearchFiltered(good, k, nil, pred); err == nil {
-				t.Errorf("%s: SearchFiltered accepted k=%d", name, k)
+			if _, err := scanOne(ix, am.Query{Vec: good, K: k, Pred: pred}, nil); err == nil {
+				t.Errorf("%s: filtered scan accepted k=%d", name, k)
 			}
-			if batch, ok := ix.(am.BatchIndex); ok {
-				for _, preds := range [][]am.Predicate{nil, {nil, pred}} {
-					if _, err := batch.MultiSearch([][]float32{good, good}, []int{5, k}, nil, preds); err == nil {
-						t.Errorf("%s: MultiSearch accepted k=%d", name, k)
-					}
+			for _, p := range []am.Predicate{nil, pred} {
+				if _, err := ix.Scan([]am.Query{{Vec: good, K: 5}, {Vec: good, K: k, Pred: p}}, nil); err == nil {
+					t.Errorf("%s: batched scan accepted k=%d", name, k)
 				}
-			}
-		}
-		if batch, ok := ix.(am.BatchIndex); ok {
-			if _, err := batch.MultiSearch([][]float32{good, good}, []int{5}, nil, nil); err == nil {
-				t.Errorf("%s: MultiSearch accepted 2 queries with 1 k", name)
 			}
 		}
 	}
 }
 
-// TestScanKnobParsing pins the one knob parser: which knobs each scan
-// reads, and that a malformed value fails with the same error shape
-// whichever access method reads it.
-func TestScanKnobParsing(t *testing.T) {
+// TestScanOptsClamp: options a session can hold but an index cannot run
+// as given are fitted, not failed — nprobe beyond the bucket count (SET
+// admits any positive integer) and the out-of-range values only a
+// hand-built ScanOpts can carry.
+func TestScanOptsClamp(t *testing.T) {
 	fx := newFixture(t, 600, 8192, 256)
 	q := queries(12, 1)[0]
-	pred := fx.predMod(2)
 	for _, c := range codecs {
-		ix := fx.buildIVF(t, c.am)
-		scans := map[string]func(params map[string]string) error{
-			"Search": func(p map[string]string) error { _, err := ix.Search(q, 5, p); return err },
-			"SearchFiltered": func(p map[string]string) error {
-				_, err := ix.SearchFiltered(q, 5, p, pred)
-				return err
-			},
-			"MultiSearch": func(p map[string]string) error {
-				_, err := ix.MultiSearch([][]float32{q, q}, []int{5, 5}, p, []am.Predicate{pred, nil})
-				return err
-			},
-			"MultiSearch/all-filtered": func(p map[string]string) error {
-				_, err := ix.MultiSearch([][]float32{q, q}, []int{5, 5}, p, []am.Predicate{pred, pred})
-				return err
-			},
-		}
-		rerank := c.am == "ivfsq8"
-		for _, tc := range []struct {
-			knob, value string
-			read        func(scan string) bool
-		}{
-			{"nprobe", "abc", func(string) bool { return true }},
-			// threads selects the RC#3 parallel scan, which exists only for
-			// unfiltered queries of a codec that does not re-rank.
-			{"threads", "x", func(scan string) bool {
-				return !rerank && (scan == "Search" || scan == "MultiSearch")
-			}},
-			{"sq8_rerank", "?", func(string) bool { return rerank }},
+		ix := fx.build(t, c.am)
+		for _, fit := range []func(*am.ScanOpts){
+			func(o *am.ScanOpts) { o.NProbe = 0 },
+			func(o *am.ScanOpts) { o.NProbe = -3 },
+			func(o *am.ScanOpts) { o.NProbe = 100000 },
+			func(o *am.ScanOpts) { o.Rerank = 0 },
+			func(o *am.ScanOpts) { o.Rerank = -2 },
+			func(o *am.ScanOpts) { o.Threads = -3 },
 		} {
-			for scan, run := range scans {
-				err := run(map[string]string{tc.knob: tc.value})
-				want := fmt.Sprintf("pase: option %s=%q: ", tc.knob, tc.value)
-				switch {
-				case !tc.read(scan) && err != nil:
-					t.Errorf("%s %s ignores %s, yet failed: %v", c.am, scan, tc.knob, err)
-				case tc.read(scan) && (err == nil || !strings.HasPrefix(err.Error(), want)):
-					t.Errorf("%s %s with %s=%s: error %v, want prefix %q", c.am, scan, tc.knob, tc.value, err, want)
-				}
+			opts := am.DefaultScanOpts()
+			fit(opts)
+			if rows, err := scanOne(ix, am.Query{Vec: q, K: 5}, opts); err != nil || len(rows) != 5 {
+				t.Errorf("%s scan with %+v = %d rows, %v", c.am, *opts, len(rows), err)
 			}
 		}
-		// Out-of-range values clamp instead of failing.
-		for _, p := range []map[string]string{{"nprobe": "0"}, {"nprobe": "-3"}, {"nprobe": "100000"}, {"sq8_rerank": "0"}, {"sq8_rerank": "-2"}} {
-			if rows, err := ix.Search(q, 5, p); err != nil || len(rows) != 5 {
-				t.Errorf("%s Search with %v = %d rows, %v", c.am, p, len(rows), err)
+	}
+}
+
+// TestSoloScanPinCount: a Scan of one query is the solo walk — one data
+// page pinned at a time, in probe-rank order — not a multi-query probe
+// of one. The counts are the buffer pins the Search entry point took on
+// these fixtures at the commit before Scan replaced it: a default pool,
+// and a 16-frame pool that bucket chains do not fit.
+func TestSoloScanPinCount(t *testing.T) {
+	recorded := map[string]struct{ defaultPool, tinyPool int64 }{
+		"ivfflat": {63, 289},
+		"ivfpq":   {40, 60},
+		"ivfsq8":  {80, 148},
+	}
+	q := queries(13, 1)[0]
+	big := newFixture(t, 3000, 8192, 1024)
+	tiny := newFixture(t, 2000, 1024, 16)
+	for _, c := range codecs {
+		pins := func(fx *fixture, clusters string, knobs map[string]string) int64 {
+			opts := map[string]string{}
+			for k, v := range amOpts[c.am] {
+				opts[k] = v
 			}
+			opts["clusters"] = clusters
+			ctx := fx.ctx(t, c.am)
+			ctx.Opts = opts
+			ix, err := ivf.Build(ctx, c.codec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan := scanOpts(t, knobs)
+			before := fx.Pool.Stats()
+			if _, err := scanOne(ix, am.Query{Vec: q, K: 10}, scan); err != nil {
+				t.Fatal(err)
+			}
+			after := fx.Pool.Stats()
+			return (after.Hits + after.Misses) - (before.Hits + before.Misses)
+		}
+		want := recorded[c.am]
+		if got := pins(big, "32", nil); got != want.defaultPool {
+			t.Errorf("%s: %d pins in the default pool, recorded %d", c.am, got, want.defaultPool)
+		}
+		if got := pins(tiny, "2", map[string]string{"nprobe": "2"}); got != want.tinyPool {
+			t.Errorf("%s: %d pins in the 16-frame pool, recorded %d", c.am, got, want.tinyPool)
 		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 	"vecstudy/internal/pg/page"
 )
 
-// Delete implements am.MutableIndex: the entry for (v, tid) is
+// Delete implements am.Index: the entry for (v, tid) is
 // tombstoned in place (its line pointer's dead bit is set) so every
 // bucket scan skips it immediately; the bytes stay on the page until
 // Maintain compacts the bucket chain. The owning bucket is re-derived
@@ -29,7 +29,7 @@ func (ix *Index) Delete(v []float32, tid heap.TID) (bool, error) {
 	return true, nil
 }
 
-// DeadCount implements am.MutableIndex.
+// DeadCount implements am.Index.
 func (ix *Index) DeadCount() int64 { return ix.dead.Load() }
 
 // tombstone walks bucket cid's chain, marks the entry with the given
@@ -72,7 +72,7 @@ func (ix *Index) tombstone(cid int, tid heap.TID) (found bool, err error) {
 	return found, err
 }
 
-// Maintain implements am.MutableIndex: every bucket chain is rewritten
+// Maintain implements am.Index: every bucket chain is rewritten
 // in place dropping tombstoned entries — IVF list compaction. Live
 // entries repack into the chain's existing pages front to back (entry
 // size is uniform, so the repack always fits); pages past the new tail

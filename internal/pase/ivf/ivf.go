@@ -15,7 +15,7 @@
 //   - RC#2: every bucket scan pins pages through the shared buffer pool
 //     and locates entries via line pointers (walk).
 //   - RC#3: threads > 1 pushes candidates from all workers into one
-//     lock-guarded heap (searchParallel).
+//     lock-guarded heap (scanParallel).
 //   - RC#5: centroids come from the PASE-flavour K-means (Build).
 //   - RC#6: serial top-k uses a size-n collector unless heap=k (sink).
 //   - RC#7: IVF_PQ rebuilds its distance table per probed bucket — the
@@ -60,15 +60,14 @@ type Codec interface {
 	PayloadSize() int
 	// Encode writes x's payload, given the centroid of its bucket.
 	Encode(x, centroid []float32, payload []byte)
-	// Rerank names the session knob holding the over-fetch factor β, and
-	// its default, when payload distances are approximate and the best
-	// k·β candidates are re-scored against the heap vectors (the knob name
-	// also labels the re-rank prof timer); it returns "" when payload
-	// distances are final.
-	Rerank() (knob string, defaultBeta int)
+	// Rerank names the prof timer of the re-rank phase when payload
+	// distances are approximate and the best k·β candidates (β is
+	// am.ScanOpts.Rerank) are re-scored against the heap vectors; it
+	// returns "" when payload distances are final.
+	Rerank() (timer string)
 	// NewScorer prepares scoring for a batch of queries (a solo search is
 	// a batch of one).
-	NewScorer(kern vec.Kernel, queries [][]float32, pr *prof.Profile) Scorer
+	NewScorer(kern vec.Kernel, queries []am.Query, pr *prof.Profile) Scorer
 }
 
 // Scorer scores data entries against the queries of its batch, addressed
@@ -112,6 +111,8 @@ type Index struct {
 
 	stats BuildStats
 }
+
+var _ am.Index = (*Index)(nil)
 
 // AM implements am.Index.
 func (ix *Index) AM() string { return ix.codec.Name() }

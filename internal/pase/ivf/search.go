@@ -11,41 +11,29 @@ import (
 	"vecstudy/internal/vec"
 )
 
-// scanOpts are the scan-time knobs of one Search/MultiSearch call.
+// scanOpts are one Scan call's knobs as this index runs them.
 type scanOpts struct {
-	nprobe  int
-	threads int    // > 1 selects the RC#3 shared-heap scan
-	beta    int    // re-rank over-fetch factor; 0 when the codec does not re-rank
-	knob    string // the knob β was read from; it labels the re-rank timer
-	heapK   bool   // RC#6 ablation: bounded size-k heap instead of the size-n collector
+	nprobe  int  // clamped to [1, nlist]
+	threads int  // > 1 selects the RC#3 shared-heap scan
+	beta    int  // re-rank over-fetch factor; 0 when the codec does not re-rank
+	heapK   bool // RC#6 ablation: bounded size-k heap instead of the size-n collector
 	kern    vec.Kernel
 }
 
-// parseScanOpts is the one knob parser: nprobe (default 20, clamped to
-// [1, nlist]), the codec's re-rank factor (β < 1 → 1), threads (default
-// 1), heap, distance_kernel. plain reports that an unfiltered query is
-// present: only unfiltered scans of a codec that does not re-rank ever
-// run in parallel, so only then is threads consulted.
-func (ix *Index) parseScanOpts(params map[string]string, plain bool) (o scanOpts, err error) {
-	if o.nprobe, err = pase.OptInt(params, "nprobe", 20); err != nil {
-		return o, err
+// scanOpts fits the session's options to this index: nprobe is clamped
+// to [1, nlist]; a re-ranking codec takes β (< 1 → 1) and always scans
+// serially, any other codec takes threads. nil means the defaults.
+func (ix *Index) scanOpts(opts *am.ScanOpts) scanOpts {
+	if opts == nil {
+		opts = am.DefaultScanOpts()
 	}
-	o.nprobe = ix.clampProbes(o.nprobe)
-	o.threads = 1
-	if knob, def := ix.codec.Rerank(); knob != "" {
-		o.knob = knob
-		if o.beta, err = pase.OptInt(params, knob, def); err != nil {
-			return o, err
-		}
-		o.beta = max(o.beta, 1)
-	} else if plain {
-		if o.threads, err = pase.OptInt(params, "threads", 1); err != nil {
-			return o, err
-		}
+	o := scanOpts{nprobe: ix.clampProbes(opts.NProbe), threads: 1, heapK: opts.HeapK, kern: opts.Kernel}
+	if ix.codec.Rerank() != "" {
+		o.beta = max(opts.Rerank, 1)
+	} else {
+		o.threads = opts.Threads
 	}
-	o.heapK = params["heap"] == "k"
-	o.kern, err = pase.KernelOpt(params)
-	return o, err
+	return o
 }
 
 func (ix *Index) clampProbes(nprobe int) int {
@@ -145,12 +133,12 @@ type sub struct{ qi, rank int }
 // candidate to its query's sink. It is single-goroutine state: parallel
 // scans give each worker its own.
 type scanner struct {
-	ix    *Index
-	sc    Scorer
-	preds []am.Predicate // nil, or parallel to the batch
-	sinks []*sink
-	tHeap *prof.Timer
-	visit func(entries [][]byte) error // s.segment, bound once
+	ix      *Index
+	sc      Scorer
+	queries []am.Query
+	sinks   []*sink
+	tHeap   *prof.Timer
+	visit   func(entries [][]byte) error // s.segment, bound once
 
 	walk    chainWalk
 	dists   []float32
@@ -161,9 +149,9 @@ type scanner struct {
 	one     [1]int
 }
 
-func (ix *Index) newScanner(o scanOpts, queries [][]float32, preds []am.Predicate, sinks []*sink) *scanner {
+func (ix *Index) newScanner(o scanOpts, queries []am.Query, sinks []*sink) *scanner {
 	s := &scanner{
-		ix: ix, preds: preds, sinks: sinks,
+		ix: ix, queries: queries, sinks: sinks,
 		sc:    ix.codec.NewScorer(o.kern, queries, ix.ctx.Prof),
 		tHeap: ix.ctx.Prof.Timer("min-heap"),
 	}
@@ -181,7 +169,7 @@ func (s *scanner) bucket(cid int32, subs []sub, perPage bool) error {
 	s.qs, s.plain, s.plainQs, s.gated = s.qs[:0], s.plain[:0], s.plainQs[:0], s.gated[:0]
 	for _, sb := range subs {
 		s.qs = append(s.qs, sb.qi)
-		if s.preds != nil && s.preds[sb.qi] != nil {
+		if s.queries[sb.qi].Pred != nil {
 			s.gated = append(s.gated, sb)
 		} else {
 			s.plain = append(s.plain, sb)
@@ -219,7 +207,7 @@ func (s *scanner) segment(entries [][]byte) error {
 	for _, sb := range s.gated {
 		w.kept = w.kept[:0]
 		for _, e := range entries {
-			ok, err := s.preds[sb.qi](heap.UnpackTID(e))
+			ok, err := s.queries[sb.qi].Pred(heap.UnpackTID(e))
 			if err != nil {
 				return err
 			}
@@ -250,40 +238,56 @@ func (s *scanner) score(entries [][]byte, qs []int, sparse bool) []float32 {
 	return dists
 }
 
-// Search implements am.Index. params: nprobe (default 20), threads
-// (default 1), heap, distance_kernel, and the codec's re-rank knob.
-// Serial search collects every candidate into a size-n heap (RC#6);
-// parallel search pushes into one lock-guarded global heap (RC#3), both
-// as the paper describes PASE doing.
-func (ix *Index) Search(query []float32, k int, params map[string]string) ([]am.Result, error) {
-	return ix.SearchFiltered(query, k, params, nil)
+// Scan implements am.Index. The shape of the walk is a choice from the
+// input size, never an option:
+//
+//   - one query is the paper's solo scan — each probed bucket's chain
+//     walked page at a time in probe-rank order (RC#2), candidates pushed
+//     straight into a size-n collector (RC#6) unless heap = k, or, with
+//     threads > 1, buckets spread over workers that share one lock-guarded
+//     heap (RC#3), as the paper describes PASE doing;
+//   - several queries are one multi-query probe (scanBatch), unless
+//     threads > 1: the shared-heap path owns the worker pool, so such a
+//     batch is answered query by query.
+//
+// A query's predicate is applied inside the bucket scans — the
+// in-traversal strategy of filtered kNN — and its scan is serial (the
+// callback resolves heap tuples and is not synchronized).
+func (ix *Index) Scan(queries []am.Query, opts *am.ScanOpts) ([][]am.Result, error) {
+	for _, q := range queries {
+		if err := ix.CheckQuery(q.Vec, q.K); err != nil {
+			return nil, err
+		}
+	}
+	o := ix.scanOpts(opts)
+	if len(queries) > 1 && o.threads <= 1 {
+		return ix.scanBatch(o, queries)
+	}
+	return am.ScanEach(queries, func(q am.Query) ([]am.Result, error) { return ix.scanOne(o, q) })
 }
 
-// SearchFiltered implements am.FilteredIndex: the predicate is applied
-// inside the bucket scans — the in-traversal strategy of filtered kNN.
-// The scan is serial (the predicate callback resolves heap tuples and is
-// not synchronized). A nil pred is Search.
-func (ix *Index) SearchFiltered(query []float32, k int, params map[string]string, pred am.Predicate) ([]am.Result, error) {
-	if err := ix.CheckQuery(query, k); err != nil {
-		return nil, err
-	}
-	o, err := ix.parseScanOpts(params, pred == nil)
-	if err != nil {
-		return nil, err
-	}
-	probes := ix.selectProbes(o.kern, query, o.nprobe)
+// Search implements am.Index's compat shim.
+func (ix *Index) Search(query []float32, k int, params map[string]string) ([]am.Result, error) {
+	return am.SearchCompat(ix, query, k, params)
+}
+
+// scanOne is the solo scan.
+func (ix *Index) scanOne(o scanOpts, q am.Query) ([]am.Result, error) {
+	query := []am.Query{q}
+	probes := ix.selectProbes(o.kern, q.Vec, o.nprobe)
 	var snk *sink
-	if o.threads > 1 {
-		snk = &sink{top: minheap.NewSharedTopK(k)}
+	var err error
+	if o.threads > 1 && q.Pred == nil {
+		snk = &sink{top: minheap.NewSharedTopK(q.K)}
 		err = ix.scanParallel(o, query, probes, snk)
 	} else {
-		snk = newSink(k, o, pred != nil, 1)
-		err = ix.scanSerial(o, query, probes, pred, snk)
+		snk = newSink(q.K, o, q.Pred != nil, 1)
+		err = ix.scanSerial(o, query, probes, snk)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return ix.finish(o, query, k, snk)
+	return ix.finish(o, q.Vec, q.K, snk)
 }
 
 // ScanProbes selects the nprobe buckets nearest to query and streams
@@ -296,18 +300,14 @@ func (ix *Index) ScanProbes(kern vec.Kernel, query []float32, nprobe int, emit f
 		return err
 	}
 	probes := ix.selectProbes(kern, query, ix.clampProbes(nprobe))
-	return ix.scanSerial(scanOpts{kern: kern}, query, probes, nil, &sink{emit: emit})
+	return ix.scanSerial(scanOpts{kern: kern}, []am.Query{{Vec: query}}, probes, &sink{emit: emit})
 }
 
 // scanSerial walks each probed bucket's page chain, one page pinned at a
 // time, in probe-rank order — so a single rank list already holds the
 // candidates in push order.
-func (ix *Index) scanSerial(o scanOpts, query []float32, probes []int32, pred am.Predicate, snk *sink) error {
-	var preds []am.Predicate
-	if pred != nil {
-		preds = []am.Predicate{pred}
-	}
-	s := ix.newScanner(o, [][]float32{query}, preds, []*sink{snk})
+func (ix *Index) scanSerial(o scanOpts, query []am.Query, probes []int32, snk *sink) error {
+	s := ix.newScanner(o, query, []*sink{snk})
 	for _, cid := range probes {
 		if err := s.bucket(cid, []sub{{}}, true); err != nil {
 			return err
@@ -320,9 +320,9 @@ func (ix *Index) scanSerial(o scanOpts, query []float32, probes []int32, pred am
 // every worker pushes into the sink's single mutex-guarded heap — PASE's
 // strategy in Fig 18, which is why it fails to scale. Each worker has
 // its own scanner (walk scratch, and for IVF_PQ the RC#7 table).
-func (ix *Index) scanParallel(o scanOpts, query []float32, probes []int32, snk *sink) error {
+func (ix *Index) scanParallel(o scanOpts, query []am.Query, probes []int32, snk *sink) error {
 	return pase.ScanProbesParallel(probes, o.threads, func() func(int32) error {
-		s := ix.newScanner(o, [][]float32{query}, nil, []*sink{snk})
+		s := ix.newScanner(o, query, []*sink{snk})
 		return func(cid int32) error { return s.bucket(cid, []sub{{}}, true) }
 	})
 }
@@ -352,7 +352,7 @@ func (ix *Index) finish(o scanOpts, query []float32, k int, snk *sink) ([]am.Res
 // visibility check doubles as the executor's re-check: a candidate whose
 // heap tuple died since its entry was written is skipped.
 func (ix *Index) rerank(o scanOpts, query []float32, k int, cands []minheap.Item) ([]minheap.Item, error) {
-	tRerank := ix.ctx.Prof.Timer(o.knob)
+	tRerank := ix.ctx.Prof.Timer(ix.codec.Rerank())
 	ts := tRerank.Start()
 	defer tRerank.Stop(ts)
 	top := minheap.NewTopK(k)

@@ -23,6 +23,8 @@ func init() {
 // Index is a built PASE IVF_FLAT index.
 type Index struct{ *ivf.Index }
 
+var _ am.Index = (*Index)(nil)
+
 // Build trains centroids over the table's vectors and bulk-loads every
 // row into its bucket. Options: clusters (c), sample_ratio (sr),
 // distance_type (0=L2), seed.
@@ -62,10 +64,10 @@ func (c *Codec) PayloadSize() int { return c.dim * 4 }
 func (*Codec) Encode(x, _ []float32, payload []byte) { pase.PutFloat32s(payload, x) }
 
 // Rerank implements ivf.Codec: flat distances are final.
-func (*Codec) Rerank() (string, int) { return "", 0 }
+func (*Codec) Rerank() string { return "" }
 
 // NewScorer implements ivf.Codec.
-func (c *Codec) NewScorer(kern vec.Kernel, queries [][]float32, pr *prof.Profile) ivf.Scorer {
+func (c *Codec) NewScorer(kern vec.Kernel, queries []am.Query, pr *prof.Profile) ivf.Scorer {
 	return &scorer{kern: kern, dim: c.dim, queries: queries, tDist: pr.Timer("fvec_L2sqr")}
 }
 
@@ -82,7 +84,7 @@ func (c *Codec) NewScorer(kern vec.Kernel, queries [][]float32, pr *prof.Profile
 type scorer struct {
 	kern    vec.Kernel
 	dim     int
-	queries [][]float32
+	queries []am.Query
 	tDist   *prof.Timer
 	rows    [][]float32
 	qf      []float32 // the subscriber queries gathered row-major
@@ -97,11 +99,11 @@ func (s *scorer) Score(entries [][]byte, qs []int, _ bool, out []float32) {
 	for _, e := range entries {
 		s.rows = append(s.rows, pase.Float32View(e[ivf.EntryHeaderSize:]))
 	}
-	qf := s.queries[qs[0]]
+	qf := s.queries[qs[0]].Vec
 	if len(qs) > 1 {
 		qf = s.qf[:0]
 		for _, qi := range qs {
-			qf = append(qf, s.queries[qi]...)
+			qf = append(qf, s.queries[qi].Vec...)
 		}
 		s.qf = qf
 	}

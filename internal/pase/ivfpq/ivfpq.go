@@ -30,6 +30,8 @@ func init() {
 // Index is a built PASE IVF_PQ index.
 type Index struct{ *ivf.Index }
 
+var _ am.Index = (*Index)(nil)
+
 // Build trains the coarse and product quantizers over the table and
 // bulk-loads the codes. Options: clusters, sample_ratio, m, ksub, seed.
 func Build(ctx *am.BuildContext) (am.Index, error) {
@@ -143,10 +145,10 @@ func (c *Codec) Encode(x, centroid []float32, payload []byte) {
 }
 
 // Rerank implements ivf.Codec: PASE returns the ADC distances as they are.
-func (*Codec) Rerank() (string, int) { return "", 0 }
+func (*Codec) Rerank() string { return "" }
 
 // NewScorer implements ivf.Codec.
-func (c *Codec) NewScorer(_ vec.Kernel, queries [][]float32, pr *prof.Profile) ivf.Scorer {
+func (c *Codec) NewScorer(_ vec.Kernel, queries []am.Query, pr *prof.Profile) ivf.Scorer {
 	return &scorer{
 		quant: c.quant, queries: queries, slot: make([]int, len(queries)),
 		resid: make([]float32, c.quant.D),
@@ -158,7 +160,7 @@ func (c *Codec) NewScorer(_ vec.Kernel, queries [][]float32, pr *prof.Profile) i
 // tables.
 type scorer struct {
 	quant       *pq.Quantizer
-	queries     [][]float32
+	queries     []am.Query
 	tTab, tScan *prof.Timer
 	resid       []float32
 	tabs        []float32 // one M×KSub table per subscriber of the current bucket
@@ -177,7 +179,7 @@ func (s *scorer) Bucket(centroid []float32, qs []int) {
 	}
 	for row, qi := range qs {
 		ts := s.tTab.Start()
-		residual(s.queries[qi], centroid, s.resid)
+		residual(s.queries[qi].Vec, centroid, s.resid)
 		s.quant.DistanceTableNaive(s.resid, s.tabs[row*size:(row+1)*size])
 		s.tTab.Stop(ts)
 		s.slot[qi] = row

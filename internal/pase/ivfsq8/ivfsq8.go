@@ -33,6 +33,8 @@ func init() {
 // Index is a built IVF_SQ8 index.
 type Index struct{ *ivf.Index }
 
+var _ am.Index = (*Index)(nil)
+
 // Build trains centroids and the SQ8 grid over the table's vectors and
 // bulk-loads every row as a code. Options: clusters (c), sample_ratio
 // (sr), seed — the same knobs as ivfflat.
@@ -121,21 +123,22 @@ func (c *Codec) Encode(x, _ []float32, payload []byte) {
 }
 
 // Rerank implements ivf.Codec: the k·β best candidates by code distance
-// are re-scored against the heap vectors (SET sq8_rerank, default 4).
-func (*Codec) Rerank() (string, int) { return "sq8_rerank", 4 }
+// are re-scored against the heap vectors (am.ScanOpts.Rerank, SET
+// sq8_rerank).
+func (*Codec) Rerank() string { return "sq8_rerank" }
 
 // NewScorer implements ivf.Codec. The query-side decomposition is the
 // same sequential transform whatever the batch, so each query's w and
 // ‖u‖² are bit-identical between solo and multi-query scans.
-func (c *Codec) NewScorer(kern vec.Kernel, queries [][]float32, pr *prof.Profile) ivf.Scorer {
+func (c *Codec) NewScorer(kern vec.Kernel, queries []am.Query, pr *prof.Profile) ivf.Scorer {
 	s := &scorer{
 		kern: kern, sq: c.sq, queries: queries,
 		w: make([][]float32, len(queries)), unorm: make([]float32, len(queries)),
 		tDist: pr.Timer("fvec_L2sqr"),
 	}
 	for i, q := range queries {
-		s.w[i] = make([]float32, len(q))
-		s.unorm[i] = c.sq.DecomposeQuery(q, s.w[i])
+		s.w[i] = make([]float32, len(q.Vec))
+		s.unorm[i] = c.sq.DecomposeQuery(q.Vec, s.w[i])
 	}
 	return s
 }
@@ -143,7 +146,7 @@ func (c *Codec) NewScorer(kern vec.Kernel, queries [][]float32, pr *prof.Profile
 type scorer struct {
 	kern    vec.Kernel
 	sq      *vec.SQ8
-	queries [][]float32
+	queries []am.Query
 	w       [][]float32 // per query: its decomposition...
 	unorm   []float32   // ...and its ‖u‖²
 	tDist   *prof.Timer
@@ -180,7 +183,7 @@ func (s *scorer) Score(entries [][]byte, qs []int, sparse bool, out []float32) {
 	ts := s.tDist.Start()
 	for si, qi := range qs {
 		if sparse {
-			s.kern.L2SqrSQ8Batch(s.queries[qi], s.codes, s.sq, col)
+			s.kern.L2SqrSQ8Batch(s.queries[qi].Vec, s.codes, s.sq, col)
 			if n > 1 {
 				for t := range entries {
 					out[t*n+si] = col[t]

@@ -82,9 +82,21 @@ func (fx *fixture) build(t *testing.T) *Index {
 	return ix.(*Index)
 }
 
-// exhaustive are the scan params that make the 10-cluster index exact.
-func exhaustive() map[string]string {
-	return map[string]string{"nprobe": "10"}
+// exhaustive are the scan options that make the 10-cluster index exact.
+func exhaustive() *am.ScanOpts {
+	opts := am.DefaultScanOpts()
+	opts.NProbe = 10
+	return opts
+}
+
+// search answers one query.
+func search(t *testing.T, ix *Index, q []float32, k int, opts *am.ScanOpts) []am.Result {
+	t.Helper()
+	out, err := ix.Scan([]am.Query{{Vec: q, K: k}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out[0]
 }
 
 // exactTopK is the brute-force oracle on the ref kernel.
@@ -129,10 +141,7 @@ func TestSearchMatchesExactAfterRerank(t *testing.T) {
 	const k = 10
 	for seed := int64(100); seed < 110; seed++ {
 		q := queryVec(seed)
-		got, err := ix.Search(q, k, exhaustive())
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := search(t, ix, q, k, exhaustive())
 		want := fx.exactTopK(q, k)
 		if len(got) != k {
 			t.Fatalf("seed %d: got %d results, want %d", seed, len(got), k)
@@ -177,12 +186,9 @@ func TestIndexSmallerThanIvfflat(t *testing.T) {
 func TestRerankBetaClamp(t *testing.T) {
 	fx := newFixture(t)
 	ix := fx.build(t)
-	params := exhaustive()
-	params["sq8_rerank"] = "1"
-	got, err := ix.Search(queryVec(500), 10, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := exhaustive()
+	opts.Rerank = 1
+	got := search(t, ix, queryVec(500), 10, opts)
 	if len(got) != 10 {
 		t.Fatalf("beta=1: got %d rows, want 10", len(got))
 	}

@@ -22,7 +22,6 @@ import (
 	"unsafe"
 
 	"vecstudy/internal/pg/page"
-	"vecstudy/internal/vec"
 )
 
 // InvalidBlk is the nil block-pointer value in page chains.
@@ -67,17 +66,6 @@ func PutFloat32s(b []byte, vs []float32) int {
 		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
 	}
 	return 4 * len(vs)
-}
-
-// KernelOpt resolves the session's distance kernel from scan-time
-// params (SET distance_kernel). An absent or empty value resolves to
-// the default kernel; a known-but-unavailable name (avx2 without the
-// ISA) falls back silently, per vec.ForName. Search paths score every
-// candidate through the returned kernel — build, insert, and delete
-// paths do NOT use it (bucket assignment must be session-independent,
-// see vec.Ref).
-func KernelOpt(params map[string]string) (vec.Kernel, error) {
-	return vec.ForName(params["distance_kernel"])
 }
 
 // OptInt parses an integer WITH-option, returning def when absent.

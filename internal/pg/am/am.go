@@ -37,19 +37,6 @@ type BuildContext struct {
 	Prof   *prof.Profile // optional breakdown instrumentation
 }
 
-// Index is a built index ready for inserts and scans.
-type Index interface {
-	// AM returns the access-method name.
-	AM() string
-	// Insert adds one (vector, tid) entry.
-	Insert(v []float32, tid heap.TID) error
-	// Search returns the k nearest entries, ascending by distance.
-	// params carries scan-time knobs (nprobe, efs, threads).
-	Search(query []float32, k int, params map[string]string) ([]Result, error)
-	// SizeBytes reports the on-page footprint of the index relation.
-	SizeBytes() (int64, error)
-}
-
 // Predicate decides whether the heap tuple at tid satisfies the query's
 // WHERE clause. The executor compiles it from the parsed predicate; the
 // access methods call it during traversal so non-matching tuples never
@@ -58,57 +45,58 @@ type Index interface {
 // expected to memoize per-TID verdicts, since graph searches revisit.
 type Predicate func(tid heap.TID) (bool, error)
 
-// FilteredIndex is the optional extension an access method implements
-// when it can evaluate a predicate inside its own traversal — the
-// in-traversal strategy of selectivity-adaptive filtered kNN. AMs that
-// do not implement it are served by the executor's pre- or post-filter
-// paths instead.
-type FilteredIndex interface {
-	Index
-	// SearchFiltered returns the k nearest entries whose tuples satisfy
-	// pred, ascending by distance. A nil pred degenerates to Search.
-	SearchFiltered(query []float32, k int, params map[string]string, pred Predicate) ([]Result, error)
+// Query is one kNN request of a Scan: the K entries nearest to Vec,
+// among the tuples satisfying Pred when it is non-nil.
+type Query struct {
+	Vec  []float32
+	K    int
+	Pred Predicate
 }
 
-// BatchIndex is the optional extension an access method implements when
-// it can answer several queries as one multi-query probe — the serving
-// side of the paper's RC#1 (batched SGEMM-shaped scoring beats per-pair
-// loops). The query coalescer (internal/batch) feeds it concurrently-
-// arrived queries against the same index so centroid scoring is batched
-// and bucket page pins are amortized across the batch.
-//
-// The contract is strict: MultiSearch(queries, ks, params, preds)[i]
-// must be byte-identical to what the solo call for query i would return
-// (Search when preds is nil or preds[i] is nil, SearchFiltered
-// otherwise, with the same params). preds is either nil or parallel to
-// queries; ks is parallel to queries. Implementations may assume the
-// single-goroutine calling discipline of Search.
-type BatchIndex interface {
-	Index
-	MultiSearch(queries [][]float32, ks []int, params map[string]string, preds []Predicate) ([][]Result, error)
-}
-
-// MutableIndex is the optional extension an access method implements
-// when it supports tombstone deletion and background maintenance — the
-// index side of the dynamic-data subsystem. The standard VDBMS design
-// (see the survey in PAPERS.md) is reproduced here: Delete marks the
-// entry dead synchronously (search must stop returning it immediately),
-// and Maintain later reclaims the tombstones — compacting IVF bucket
-// chains, or repairing the HNSW graph around dead nodes and unlinking
-// them.
-type MutableIndex interface {
-	Index
-	// Delete tombstones the entry for (v, tid). v is the indexed vector
-	// the entry was inserted with; bucketed AMs re-derive the owning
-	// bucket from it deterministically. Deleting an entry the index does
-	// not hold is a no-op (false, nil).
+// Index is a built index: the one contract every access method
+// implements, mirroring the single amgettuple-style scan routine PASE
+// plugs into PostgreSQL. Plain, filtered and batched kNN are one
+// operator with optional arguments — a solo search is a Scan of one
+// Query, an unfiltered one a Query with a nil Pred.
+type Index interface {
+	// AM returns the access-method name.
+	AM() string
+	// Insert adds one (vector, tid) entry.
+	Insert(v []float32, tid heap.TID) error
+	// Scan answers every query, returning for query i its K nearest
+	// entries ascending by distance. opts carries the scan-time knobs; nil
+	// means DefaultScanOpts(). A query with K <= 0 or a vector of the
+	// wrong dimensionality fails the whole call.
+	//
+	// The batch contract is strict: Scan(queries, opts)[i] is
+	// byte-identical to Scan(queries[i:i+1], opts)[0]. How an access
+	// method shares work across a batch (the IVF chassis batch-scores
+	// centroids and pins each probed bucket once; HNSW and the pgvector
+	// baseline answer query by query) never shows in the rows. A Pred is
+	// evaluated inside the traversal (in-traversal filtering) on the
+	// single goroutine that runs the scan.
+	Scan(queries []Query, opts *ScanOpts) ([][]Result, error)
+	// Delete tombstones the entry for (v, tid): search stops returning it
+	// immediately, Maintain reclaims it later — the standard VDBMS
+	// out-of-place design (see the survey in PAPERS.md). v is the indexed
+	// vector the entry was inserted with; bucketed AMs re-derive the
+	// owning bucket from it deterministically. Deleting an entry the index
+	// does not hold is a no-op (false, nil).
 	Delete(v []float32, tid heap.TID) (bool, error)
 	// DeadCount reports tombstoned entries not yet reclaimed by Maintain.
 	DeadCount() int64
-	// Maintain reclaims tombstones (IVF list compaction, HNSW repair) and
-	// returns how many entries it removed. The caller must hold the
-	// engine's statement gate exclusively.
+	// Maintain reclaims tombstones (IVF list compaction, HNSW graph
+	// repair) and returns how many entries it removed. The caller must
+	// hold the engine's statement gate exclusively.
 	Maintain() (int64, error)
+	// SizeBytes reports the on-page footprint of the index relation.
+	SizeBytes() (int64, error)
+
+	// Search is the pre-Scan solo entry point, kept only because the
+	// benchmark/ module (which a code PR may not edit) calls it; every
+	// implementation is SearchCompat. Delete it with the benchmark-only
+	// follow-up of ROADMAP item 1.
+	Search(query []float32, k int, params map[string]string) ([]Result, error)
 }
 
 // BuildFunc constructs an index over the table's current contents.

@@ -286,7 +286,7 @@ func (d *DB) indexedVectors(table string, tbl *heap.Table, tid heap.TID) (map[st
 }
 
 // Delete removes one row: the heap tuple's line pointer is marked dead
-// and every mutable index on the table tombstones its entry. Deleting an
+// and every index on the table tombstones its entry. Deleting an
 // already-dead or unknown TID is a no-op returning false. Callers must
 // hold the statement gate exclusively.
 func (d *DB) Delete(table string, tid heap.TID) (bool, error) {
@@ -312,11 +312,7 @@ func (d *DB) Delete(table string, tid heap.TID) (bool, error) {
 		if !open {
 			continue
 		}
-		mi, mutable := idx.(am.MutableIndex)
-		if !mutable {
-			continue
-		}
-		if _, err := mi.Delete(vecs[im.Name], tid); err != nil {
+		if _, err := idx.Delete(vecs[im.Name], tid); err != nil {
 			return true, err
 		}
 	}

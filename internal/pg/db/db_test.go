@@ -39,10 +39,11 @@ func loadSmall(t *testing.T, cfg Config) *DB {
 // searchIDs runs an index search and maps the TIDs back to the id column.
 func searchIDs(t *testing.T, d *DB, idx am.Index, query []float32, k int, params map[string]string) []int64 {
 	t.Helper()
-	res, err := idx.Search(query, k, params)
+	scanned, err := idx.Scan([]am.Query{{Vec: query, K: k}}, testutil.ScanOpts(t, params))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := scanned[0]
 	tbl, err := d.Table("t")
 	if err != nil {
 		t.Fatal(err)

@@ -2,13 +2,11 @@ package sql
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"time"
 
 	"vecstudy/internal/minheap"
 	"vecstudy/internal/pg/am"
 	"vecstudy/internal/pg/heap"
-	"vecstudy/internal/vec"
 )
 
 // batch.go is the SQL side of server-side batched kNN execution: a
@@ -17,7 +15,7 @@ import (
 // SET batch_window and execute a whole group as one multi-query probe.
 // Grouping is by GroupKey — same table, ORDER BY column, access method,
 // filter strategy, query dimensionality, and effective session settings
-// — because only then does one MultiSearch (or one shared exact scan)
+// — because only then does one am.Index.Scan (or one shared exact scan)
 // reproduce every member's solo execution byte for byte.
 
 // BatchWindowSetting and BatchMaxSetting are the session knobs steering
@@ -41,10 +39,9 @@ const BatchWindowMaxMicros = 1000000
 const BatchMaxLimit = 1024
 
 // VectorQuery is a planned-but-unexecuted vector search: everything
-// runVectorSearch decides before touching the index or heap, captured so
-// the coalescer can group it with concurrently planned queries. Run
-// executes it solo with exactly the original semantics; MultiRun
-// executes a whole group.
+// decided before touching the index or heap, captured so the coalescer
+// can group it with concurrently planned queries. Run executes it solo;
+// MultiRun executes a whole group.
 type VectorQuery struct {
 	s       *Session
 	st      *SelectStmt
@@ -58,10 +55,10 @@ type VectorQuery struct {
 	k       int
 }
 
-// planVector performs the planning half of runVectorSearch: resolve the
-// vector column, fix k, look up the index, and pick the filter strategy.
-// A k == 0 query skips planning entirely (as the solo path did) and its
-// Run returns the empty result without touching the planner.
+// planVector plans a vector search: resolve the vector column, fix k,
+// look up the index, and pick the filter strategy. A k == 0 query skips
+// planning entirely and its Run returns the empty result without
+// touching the planner.
 func (s *Session) planVector(st *SelectStmt, tbl *heap.Table, outCols []int, pred *compiledPred) (*VectorQuery, error) {
 	schema := tbl.Schema()
 	vcol := schema.ColIndex(st.OrderCol)
@@ -94,56 +91,21 @@ func (s *Session) planVector(st *SelectStmt, tbl *heap.Table, outCols []int, pre
 	return q, nil
 }
 
-// Run executes the query solo, byte-for-byte the original
-// runVectorSearch dispatch.
+// Run executes the query solo: a MultiRun of one.
 func (q *VectorQuery) Run() (*Result, error) {
-	s := q.s
-	res := &Result{Cols: q.cols}
-	if q.k == 0 {
-		return res, nil
-	}
-	s.db.StmtGate().RLock()
-	defer s.db.StmtGate().RUnlock()
-	s.lastFilter = execTrace{}
-
-	var hits []am.Result
-	var err error
-	switch q.plan.strategy {
-	case FilterNone:
-		if q.idx == nil {
-			return s.exactSearch(q.st, q.tbl, q.vcol, q.k, nil, q.outCols, res)
-		}
-		hits, err = q.idx.Search(q.st.QueryVec, q.k, s.settings)
-	case FilterPre:
-		return s.exactSearch(q.st, q.tbl, q.vcol, q.k, q.pred, q.outCols, res)
-	case FilterPost:
-		hits, err = s.postFilterSearch(q.tbl, q.idx, q.st.QueryVec, q.k, q.pred)
-	case FilterInTraversal:
-		hits, err = q.idx.(am.FilteredIndex).SearchFiltered(q.st.QueryVec, q.k, s.settings, predicateFor(q.tbl, q.pred))
-	}
+	res, err := MultiRun([]*VectorQuery{q})
 	if err != nil {
 		return nil, err
 	}
-	for _, h := range hits {
-		row, ok, err := s.fetchRow(q.tbl, h.TID, q.outCols, h.Dist)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+	return res[0], nil
 }
 
 // Batchable reports whether the query may join a coalescing batch, with
 // a human-readable reason when it may not. Unbatchable shapes: no LIMIT
 // (k is the table size — nothing to amortize), count(*), the post-filter
-// strategy (its over-fetch-and-refill loop is adaptive per query), an
-// access method without MultiSearch, and threads > 1 (the RC#3
-// shared-heap path owns the worker pool; coalescing it would serialize
-// what the session asked to parallelize).
+// strategy (its over-fetch-and-refill loop is adaptive per query), and
+// threads > 1 (the RC#3 shared-heap path owns the worker pool;
+// coalescing it would serialize what the session asked to parallelize).
 func (q *VectorQuery) Batchable() (bool, string) {
 	if q.st.CountStar {
 		return false, "count(*)"
@@ -157,84 +119,81 @@ func (q *VectorQuery) Batchable() (bool, string) {
 	if q.plan.strategy == FilterPost {
 		return false, "post-filter strategy"
 	}
-	if q.idx != nil && q.plan.strategy != FilterPre {
-		if _, ok := q.idx.(am.BatchIndex); !ok {
-			return false, fmt.Sprintf("access method %q has no multi-query probe", q.idx.AM())
-		}
-		if v, ok := q.s.settings["threads"]; ok && v != "1" && v != "" {
-			return false, "threads > 1"
-		}
+	if q.idx != nil && q.plan.strategy != FilterPre && q.s.set.scan.Threads > 1 {
+		return false, "threads > 1"
 	}
 	return true, ""
 }
 
-// GroupKey identifies the coalescing group: queries with equal keys are
+// GroupKey identifies a coalescing group: queries with equal keys are
 // guaranteed to produce solo-identical results when executed as one
-// multi-query probe. The access-method slot is "exact" for plans that
-// never touch an index (no index, or the pre-filter strategy), and the
-// query's own dimensionality is part of the key so a dimension-mismatch
-// error stays confined to the queries that would have failed solo.
-// Different WHERE predicates may share a group — the strategy component
-// keeps each group uniformly filtered or uniformly not.
-func (q *VectorQuery) GroupKey() string {
+// multi-query probe. It is comparable (the coalescer's map key) and
+// compares parsed values, so a session that SET nprobe = 20 groups with
+// one that left the default. AM is "exact" for plans that never touch an
+// index (no index, or the pre-filter strategy), and the query's own
+// dimensionality is part of the key so a dimension-mismatch error stays
+// confined to the queries that would have failed solo. Different WHERE
+// predicates may share a group — the strategy component keeps each group
+// uniformly filtered or uniformly not.
+type GroupKey struct {
+	Table, Column, AM string
+	Strategy          FilterStrategy
+	Dim               int
+	set               settings
+}
+
+// String renders the key for EXPLAIN's "Batchable: yes (group …)" line.
+func (k GroupKey) String() string {
+	return fmt.Sprintf("%s|%s|%s|%s|d=%d|%s", k.Table, k.Column, k.AM, k.Strategy, k.Dim, k.set.render())
+}
+
+// GroupKey returns the query's coalescing group.
+func (q *VectorQuery) GroupKey() GroupKey {
 	amName := "exact"
 	if q.idx != nil && q.plan.strategy != FilterPre {
 		amName = q.idx.AM()
 	}
-	return fmt.Sprintf("%s|%s|%s|%s|d=%d|%s",
-		q.st.Table, q.st.OrderCol, amName, q.plan.strategy, len(q.st.QueryVec), q.settingsKey())
+	return GroupKey{q.st.Table, q.st.OrderCol, amName, q.plan.strategy, len(q.st.QueryVec), q.s.set}
 }
 
-// settingsKey renders every known setting at its effective value, sorted
-// by name. Keying on effective values (not the raw SET map) lets a
-// session that SET nprobe = 20 batch with one that left the default.
-func (q *VectorQuery) settingsKey() string {
-	parts := make([]string, 0, len(knownSettings))
-	for _, st := range knownSettings {
-		parts = append(parts, st.Name+"="+q.s.effective(st))
-	}
-	sort.Strings(parts)
-	return strings.Join(parts, " ")
-}
-
-// Params is the canonical scan-parameter map for the group: every known
-// setting at its effective value. Passing defaults explicitly is
-// behavior-identical to each member's own raw settings map because the
-// knownSettings defaults mirror the access methods' own fallbacks.
+// Params renders every known setting at its effective value — the
+// pre-ScanOpts knob map. It is kept only because the benchmark/ module
+// (which a code PR may not edit) reads it to replay a statement's index
+// search; delete it with the benchmark-only follow-up of ROADMAP item 1.
 func (q *VectorQuery) Params() map[string]string {
 	out := make(map[string]string, len(knownSettings))
 	for _, st := range knownSettings {
-		out[st.Name] = q.s.effective(st)
+		out[st.Name] = q.s.effective(st.Name)
 	}
 	return out
 }
 
-// Finish materializes index hits into the query's projected result rows
-// (the tail of the solo dispatch).
+// Finish materializes index hits into the query's projected result
+// rows — the one hits→rows loop. A hit whose heap tuple has died since
+// the index entry was written is dropped: the executor's visibility
+// re-check, the last line of defense against a stale index TID.
 func (q *VectorQuery) Finish(hits []am.Result) (*Result, error) {
 	res := &Result{Cols: q.cols}
+	schema := q.tbl.Schema()
 	for _, h := range hits {
-		row, ok, err := q.s.fetchRow(q.tbl, h.TID, q.outCols, h.Dist)
+		_, err := q.tbl.GetVisible(h.TID, func(tup []byte) error {
+			vals, err := schema.Decode(tup)
+			if err == nil {
+				res.Rows = append(res.Rows, project(vals, q.outCols, h.Dist))
+			}
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
-			continue
-		}
-		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
 
-// EffectiveSetting resolves a known setting to its effective value for
-// this session (the SET override or the default); unknown names return
-// "". The coalescer reads batch_window and batch_max through this.
-func (s *Session) EffectiveSetting(name string) string {
-	st, ok := lookupSetting(name)
-	if !ok {
-		return ""
-	}
-	return s.effective(st)
+// BatchKnobs returns the session's coalescing window (0 disables
+// coalescing) and the cap on queries per multi-query probe.
+func (s *Session) BatchKnobs() (window time.Duration, max int) {
+	return s.set.batchWindow, s.set.batchMax
 }
 
 // ExecuteOrPlan parses and runs one statement like Execute, except that
@@ -246,37 +205,22 @@ func (s *Session) ExecuteOrPlan(text string) (*Result, *VectorQuery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	sel, ok := stmt.(*SelectStmt)
-	if !ok || sel.OrderCol == "" {
-		res, err := s.run(stmt)
-		return res, nil, err
+	if sel, ok := stmt.(*SelectStmt); ok {
+		return s.runSelect(sel)
 	}
-	tbl, err := s.db.Table(sel.Table)
-	if err != nil {
-		return nil, nil, err
-	}
-	outCols, err := resolveColumns(sel, tbl.Schema())
-	if err != nil {
-		return nil, nil, err
-	}
-	pred, err := compilePred(sel.Where, tbl.Schema())
-	if err != nil {
-		return nil, nil, err
-	}
-	q, err := s.planVector(sel, tbl, outCols, pred)
-	if err != nil {
-		return nil, nil, err
-	}
-	return nil, q, nil
+	res, err := s.run(stmt)
+	return res, nil, err
 }
 
 // MultiRun executes a group of same-GroupKey queries as one multi-query
-// probe and returns each query's Result in order. Index groups go
-// through the access method's MultiSearch; exact groups share one heap
-// pass (multiExact). An error anywhere fails the whole group — every
-// member observes it, which for uniform-key groups is the error each
-// solo run would have raised (dimension mismatches are keyed into their
-// own group) or a heap-access failure no member could have dodged.
+// probe and returns each query's Result in order; a solo Run is a group
+// of one. Index groups are one am.Index.Scan; exact groups share one
+// heap pass (multiExact); post-filter members (never coalesced — see
+// Batchable) each run their own refill loop. An error anywhere fails the
+// whole group — every member observes it, which for uniform-key groups
+// is the error each solo run would have raised (dimension mismatches
+// are keyed into their own group) or a heap-access failure no member
+// could have dodged.
 func MultiRun(qs []*VectorQuery) ([]*Result, error) {
 	if len(qs) == 0 {
 		return nil, nil
@@ -287,72 +231,68 @@ func MultiRun(qs []*VectorQuery) ([]*Result, error) {
 	lead.s.db.StmtGate().RLock()
 	defer lead.s.db.StmtGate().RUnlock()
 	for _, q := range qs {
-		q.s.lastFilter = execTrace{}
+		q.s.lastFilter = execTrace{strategy: q.plan.strategy}
 	}
 
-	var hits [][]am.Result
+	hits := make([][]am.Result, len(qs))
 	var err error
-	if lead.idx == nil || lead.plan.strategy == FilterPre {
+	switch {
+	case lead.k == 0: // LIMIT 0 was never planned and is never coalesced
+	case lead.idx == nil || lead.plan.strategy == FilterPre:
 		hits, err = multiExact(qs)
-	} else {
-		bidx := lead.idx.(am.BatchIndex)
-		queries := make([][]float32, len(qs))
-		ks := make([]int, len(qs))
+	case lead.plan.strategy == FilterPost:
 		for i, q := range qs {
-			queries[i] = q.st.QueryVec
-			ks[i] = q.k
-		}
-		var preds []am.Predicate
-		if lead.plan.strategy == FilterInTraversal {
-			preds = make([]am.Predicate, len(qs))
-			for i, q := range qs {
-				preds[i] = predicateFor(q.tbl, q.pred)
+			if hits[i], err = q.postFilterSearch(); err != nil {
+				break
 			}
 		}
-		hits, err = bidx.MultiSearch(queries, ks, lead.Params(), preds)
+	default:
+		queries := make([]am.Query, len(qs))
+		for i, q := range qs {
+			queries[i] = am.Query{Vec: q.st.QueryVec, K: q.k}
+			if q.plan.strategy == FilterInTraversal {
+				queries[i].Pred = predicateFor(q.tbl, q.pred)
+			}
+		}
+		// The settings are part of the group key, so the lead's are
+		// every member's.
+		hits, err = lead.idx.Scan(queries, &lead.s.set.scan)
 	}
 	if err != nil {
 		return nil, err
 	}
 	out := make([]*Result, len(qs))
 	for i, q := range qs {
-		r, err := q.Finish(hits[i])
-		if err != nil {
+		if out[i], err = q.Finish(hits[i]); err != nil {
 			return nil, err
 		}
-		out[i] = r
 	}
 	return out, nil
 }
 
-// multiExact serves an exact group (no index, or pre-filter) with one
-// shared heap pass. Per tuple the row is decoded at most once and the
-// vector materialized at most once, then fanned out to every member
-// whose predicate admits it. Each member keeps its own bounded top-k
-// heap and its own ordinal counter over its admitted rows, so heap IDs
-// — and therefore distance-tie ordering — match its solo exactSearch
-// push for push.
+// multiExact is the brute-force path — the no-index fallback and the
+// pre-filter strategy — for a group (solo: a group of one): one shared
+// heap pass, each member's predicate pushed below the distance
+// computation, survivors ranked in bounded top-k heaps. Per tuple the row
+// is decoded at most once and the vector materialized at most once, then
+// fanned out to every member whose predicate admits it. Each member
+// keeps its own heap and its own ordinal counter over its admitted rows,
+// so heap IDs — and therefore distance-tie ordering — are the same push
+// for push however the group is composed.
 func multiExact(qs []*VectorQuery) ([][]am.Result, error) {
 	lead := qs[0]
 	tbl := lead.tbl
 	schema := tbl.Schema()
-	filtered := lead.plan.strategy == FilterPre
-	// distance_kernel is part of the group key, so the lead's effective
-	// value is every member's.
-	kern, err := vec.ForName(lead.Params()[DistanceKernelSetting])
-	if err != nil {
-		return nil, err
-	}
+	// distance_kernel is part of the group key, so the lead's is every
+	// member's.
+	kern := lead.s.set.scan.Kernel
 
 	tops := make([]*minheap.TopK, len(qs))
 	tids := make([][]heap.TID, len(qs))
 	for i, q := range qs {
 		tops[i] = minheap.NewTopK(q.k)
-		if filtered {
-			q.s.lastFilter.strategy = FilterPre
-		}
 	}
-	err = tbl.Scan(func(tid heap.TID, tup []byte) (bool, error) {
+	err := tbl.Scan(func(tid heap.TID, tup []byte) (bool, error) {
 		var vals []any
 		var v []float32
 		for i, q := range qs {

@@ -3,6 +3,9 @@ package sql
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"vecstudy/internal/vec"
 )
 
 func TestBatchSettingsValidation(t *testing.T) {
@@ -45,17 +48,14 @@ func TestBatchSettingsInShowAll(t *testing.T) {
 	}
 }
 
-func TestEffectiveSetting(t *testing.T) {
+func TestBatchKnobs(t *testing.T) {
 	s := newSession(t)
-	if v := s.EffectiveSetting(BatchWindowSetting); v != "0" {
-		t.Errorf("default effective batch_window = %q", v)
+	if w, max := s.BatchKnobs(); w != 0 || max != 32 {
+		t.Errorf("default batch knobs = (%v, %d), want (0, 32)", w, max)
 	}
 	mustExec(t, s, "SET batch_window = 400")
-	if v := s.EffectiveSetting(BatchWindowSetting); v != "400" {
-		t.Errorf("effective batch_window after SET = %q", v)
-	}
-	if v := s.EffectiveSetting("no_such_knob"); v != "" {
-		t.Errorf("unknown knob effective = %q, want empty", v)
+	if w, _ := s.BatchKnobs(); w != 400*time.Microsecond {
+		t.Errorf("batch window after SET = %v", w)
 	}
 }
 
@@ -105,13 +105,14 @@ func TestExplainBatchable(t *testing.T) {
 	}
 }
 
-// TestGroupKeyReflectsEffectiveSettings checks two sessions whose SETs
-// differ only cosmetically (explicit default vs unset) produce equal
-// keys, while a real difference separates them.
+// TestGroupKeyReflectsEffectiveSettings checks the key compares parsed
+// values: sessions whose SETs differ only cosmetically (explicit default
+// vs unset) share a group, while a difference in any scan option, the
+// kernel or the filter strategy separates them.
 func TestGroupKeyReflectsEffectiveSettings(t *testing.T) {
 	d := newSession(t) // session A on its own db
 	loadVectors(t, d, 100)
-	key := func(s *Session) string {
+	key := func(s *Session) GroupKey {
 		_, q, err := s.ExecuteOrPlan("SELECT id FROM t ORDER BY vec <-> '{1, 1, 0, 0}' LIMIT 3")
 		if err != nil {
 			t.Fatal(err)
@@ -119,12 +120,23 @@ func TestGroupKeyReflectsEffectiveSettings(t *testing.T) {
 		return q.GroupKey()
 	}
 	base := key(d)
-	mustExec(t, d, "SET nprobe = 20") // explicit default
-	if k := key(d); k != base {
-		t.Errorf("explicit default changed the group key:\n%s\nvs\n%s", base, k)
-	}
-	mustExec(t, d, "SET nprobe = 7")
-	if k := key(d); k == base {
-		t.Error("different nprobe kept the same group key")
+	for _, knob := range []struct{ name, def, other string }{
+		{"nprobe", "20", "7"},
+		{"efs", "200", "64"},
+		{"threads", "1", "2"},
+		{"sq8_rerank", "4", "2"},
+		{"heap", "n", "k"},
+		{DistanceKernelSetting, vec.DefaultKernelName, "ref"},
+		{FilterStrategySetting, "auto", "post"},
+	} {
+		mustExec(t, d, "SET "+knob.name+" = "+knob.def) // explicit default
+		if k := key(d); k != base {
+			t.Errorf("explicit default %s changed the group key:\n%s\nvs\n%s", knob.name, base, k)
+		}
+		mustExec(t, d, "SET "+knob.name+" = "+knob.other)
+		if k := key(d); k == base {
+			t.Errorf("%s = %s kept the default group key", knob.name, knob.other)
+		}
+		mustExec(t, d, "SET "+knob.name+" = "+knob.def)
 	}
 }

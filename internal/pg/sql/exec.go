@@ -2,16 +2,15 @@ package sql
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"time"
 
 	"vecstudy/internal/maintenance"
-	"vecstudy/internal/minheap"
 	"vecstudy/internal/pg/am"
 	"vecstudy/internal/pg/db"
 	"vecstudy/internal/pg/heap"
-	"vecstudy/internal/vec"
 )
 
 // BufferPartitionsSetting is the session knob that repartitions the
@@ -48,75 +47,176 @@ type Setting struct {
 }
 
 // knownSettings is the closed list of knobs SET and SHOW accept, in
-// SHOW ALL order. The scan-time defaults mirror the access methods'
-// own fallbacks (pase.OptInt defaults).
+// SHOW ALL order (sorted by name). Defaults are not written here: they
+// are rendered from defaultSettings.
 var knownSettings = []Setting{
-	{BatchMaxSetting, "32", "batched execution: max queries coalesced into one multi-query probe"},
-	{BatchWindowSetting, "0", "batched execution: coalescing window in microseconds (0 = off)"},
-	{BufferPartitionsSetting, "", "buffer-mapping partitions of the shared pool (1 = paper's single lock)"},
-	{DistanceKernelSetting, vec.DefaultKernelName, "distance kernel for search-path scoring: ref, unrolled, or avx2"},
-	{"efs", "200", "hnsw: search queue length"},
-	{FilterOverfetchSetting, "4", "filtered kNN: post-filter over-fetch multiplier (k' = k*alpha)"},
-	{FilterStrategySetting, "auto", "filtered kNN strategy: auto, pre, post, or intraversal"},
-	{"heap", "n", "ivfflat: top-k heap policy, n (PASE size-n, RC#6) or k (size-k)"},
-	{"nprobe", "20", "ivf: clusters probed per query"},
-	{SQ8RerankSetting, "4", "ivfsq8: re-rank multiplier beta (k*beta quantized candidates re-ranked at full precision)"},
-	{"threads", "1", "intra-query scan parallelism"},
-	{VacuumThresholdSetting, "0", "auto-vacuum when a table's dead-tuple fraction reaches this (0 = off)"},
+	{Name: BatchMaxSetting, Desc: "batched execution: max queries coalesced into one multi-query probe"},
+	{Name: BatchWindowSetting, Desc: "batched execution: coalescing window in microseconds (0 = off)"},
+	{Name: BufferPartitionsSetting, Desc: "buffer-mapping partitions of the shared pool (1 = paper's single lock)"},
+	{Name: DistanceKernelSetting, Desc: "distance kernel for search-path scoring: ref, unrolled, or avx2"},
+	{Name: "efs", Desc: "hnsw: search queue length"},
+	{Name: FilterOverfetchSetting, Desc: "filtered kNN: post-filter over-fetch multiplier (k' = k*alpha)"},
+	{Name: FilterStrategySetting, Desc: "filtered kNN strategy: auto, pre, post, or intraversal"},
+	{Name: "heap", Desc: "ivfflat: top-k heap policy, n (PASE size-n, RC#6) or k (size-k)"},
+	{Name: "nprobe", Desc: "ivf: clusters probed per query"},
+	{Name: SQ8RerankSetting, Desc: "ivfsq8: re-rank multiplier beta (k*beta quantized candidates re-ranked at full precision)"},
+	{Name: "threads", Desc: "intra-query scan parallelism"},
+	{Name: VacuumThresholdSetting, Desc: "auto-vacuum when a table's dead-tuple fraction reaches this (0 = off)"},
 }
 
-// KnownSettings returns the recognized session knobs (for SHOW ALL and
-// external tooling).
+// KnownSettings returns the recognized session knobs with their
+// defaults (for SHOW ALL and external tooling). buffer_partitions has
+// none: it is the shared pool's live state, not a session's.
 func KnownSettings() []Setting {
+	def := defaultSettings()
 	out := make([]Setting, len(knownSettings))
-	copy(out, knownSettings)
+	for i, st := range knownSettings {
+		st.Default = def.show(st.Name)
+		out[i] = st
+	}
 	return out
 }
 
-func lookupSetting(name string) (Setting, bool) {
-	for _, s := range knownSettings {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Setting{}, false
+func errUnrecognized(name string) error {
+	return fmt.Errorf("sql: unrecognized setting %q (SHOW ALL lists the known settings)", name)
 }
 
-// Session executes statements against a database and carries session
-// settings (scan parameters like nprobe, efs, threads — PASE exposes the
-// same knobs through GUCs).
+// settings is a session's knobs, parsed. SET fills it (set is the only
+// writer), and SHOW, EXPLAIN, the coalescer's group key and every scan
+// read these typed values — no statement touches a knob string. It is
+// comparable: two sessions run a query identically iff their settings
+// are equal.
+type settings struct {
+	scan            am.ScanOpts    // nprobe, efs, threads, sq8_rerank, heap, distance_kernel
+	filterStrategy  FilterStrategy // the forced strategy; FilterNone is auto
+	filterOverfetch int            // post-filter over-fetch multiplier alpha
+	batchWindow     time.Duration
+	batchMax        int
+	vacuumThreshold float64
+}
+
+// defaultSettings is a fresh session's knobs; the scan defaults are
+// am.DefaultScanOpts's.
+func defaultSettings() settings {
+	return settings{
+		scan:            *am.DefaultScanOpts(),
+		filterStrategy:  FilterNone,
+		filterOverfetch: 4,
+		batchWindow:     0,
+		batchMax:        32,
+		vacuumThreshold: 0,
+	}
+}
+
+// set parses one knob assignment into its typed field; a value the knob
+// cannot take is an error and changes nothing. buffer_partitions is only
+// checked here — the session applies it to the shared pool.
+func (st *settings) set(name, value string) error {
+	if known, err := st.scan.Set(name, value); known {
+		return err
+	}
+	n, intErr := strconv.Atoi(value)
+	switch name {
+	case BufferPartitionsSetting:
+		if intErr != nil {
+			return fmt.Errorf("sql: SET %s expects an integer: %w", BufferPartitionsSetting, intErr)
+		}
+	case FilterStrategySetting:
+		i := slices.Index(filterStrategyKnob[:], value)
+		if i < 0 {
+			return fmt.Errorf("sql: SET %s expects auto, pre, post, or intraversal", FilterStrategySetting)
+		}
+		st.filterStrategy = FilterStrategy(i)
+	case FilterOverfetchSetting:
+		if intErr != nil || n < 1 {
+			return fmt.Errorf("sql: SET %s expects a positive integer", FilterOverfetchSetting)
+		}
+		st.filterOverfetch = n
+	case BatchWindowSetting:
+		if intErr != nil || n < 0 || n > BatchWindowMaxMicros {
+			return fmt.Errorf("sql: SET %s expects an integer between 0 and %d (microseconds)", BatchWindowSetting, BatchWindowMaxMicros)
+		}
+		st.batchWindow = time.Duration(n) * time.Microsecond
+	case BatchMaxSetting:
+		if intErr != nil || n < 1 || n > BatchMaxLimit {
+			return fmt.Errorf("sql: SET %s expects an integer between 1 and %d", BatchMaxSetting, BatchMaxLimit)
+		}
+		st.batchMax = n
+	case VacuumThresholdSetting:
+		f, err := strconv.ParseFloat(value, 64)
+		// !(in range) rather than (out of range): NaN must fail, for
+		// settings is a map key and NaN never equals itself.
+		if err != nil || !(f >= 0 && f <= 1) {
+			return fmt.Errorf("sql: SET %s expects a fraction between 0 and 1", VacuumThresholdSetting)
+		}
+		st.vacuumThreshold = f
+	default:
+		return errUnrecognized(name)
+	}
+	return nil
+}
+
+// show renders a knob's typed value the way set would accept it back;
+// "" for buffer_partitions and unknown names.
+func (st *settings) show(name string) string {
+	if v, known := st.scan.Get(name); known {
+		return v
+	}
+	switch name {
+	case FilterStrategySetting:
+		return filterStrategyKnob[st.filterStrategy]
+	case FilterOverfetchSetting:
+		return strconv.Itoa(st.filterOverfetch)
+	case BatchWindowSetting:
+		return strconv.FormatInt(st.batchWindow.Microseconds(), 10)
+	case BatchMaxSetting:
+		return strconv.Itoa(st.batchMax)
+	case VacuumThresholdSetting:
+		return strconv.FormatFloat(st.vacuumThreshold, 'g', -1, 64)
+	}
+	return ""
+}
+
+// render lists name=value, in SHOW ALL order, for every session knob
+// that is not at its default (EXPLAIN's scan-parameter and group lines).
+func (st *settings) render() string {
+	def := defaultSettings()
+	var parts []string
+	for _, k := range knownSettings {
+		if v := st.show(k.Name); v != def.show(k.Name) {
+			parts = append(parts, k.Name+"="+v)
+		}
+	}
+	return strings.Join(parts, " ")
+}
+
+// Session executes statements against a database and carries the
+// session's settings (scan parameters like nprobe, efs, threads — PASE
+// exposes the same knobs through GUCs).
 type Session struct {
-	db       *db.DB
-	settings map[string]string
+	db  *db.DB
+	set settings
 
 	lastFilter execTrace // what the last filtered vector search did
 }
 
 // NewSession opens a session on d.
 func NewSession(d *db.DB) *Session {
-	return &Session{db: d, settings: map[string]string{}}
+	return &Session{db: d, set: defaultSettings()}
 }
 
-// Set overrides one session setting programmatically. It validates the
-// knob name against the same known-settings list the SET statement uses
-// and returns an error for unknown knobs.
-func (s *Session) Set(name, value string) error { return s.applySet(name, value) }
-
-// applySet is the single SET path shared by Set and the SET statement.
-func (s *Session) applySet(name, value string) error {
-	if err := ValidateSetting(name, value); err != nil {
+// Set is the single SET path, the SET statement's and a program's: the
+// value is parsed here, once, and an unknown knob or a bad value fails
+// the SET — never a later query.
+func (s *Session) Set(name, value string) error {
+	if err := s.set.set(name, value); err != nil {
 		return err
 	}
 	if name == BufferPartitionsSetting {
 		n, _ := strconv.Atoi(value)
-		if err := s.db.SetBufferPartitions(n); err != nil {
-			return err
-		}
-		// Record the clamped, effective value, not the request.
-		s.settings[name] = strconv.Itoa(s.db.Pool().Partitions())
-		return nil
+		// The pool clamps; SHOW reports its effective count.
+		return s.db.SetBufferPartitions(n)
 	}
-	s.settings[name] = value
 	return nil
 }
 
@@ -125,70 +225,17 @@ func (s *Session) applySet(name, value string) error {
 // replayed onto shard sessions later, where a bad value would otherwise
 // surface as a confusing error on an unrelated query.
 func ValidateSetting(name, value string) error {
-	if _, ok := lookupSetting(name); !ok {
-		return fmt.Errorf("sql: unrecognized setting %q (SHOW ALL lists the known settings)", name)
-	}
-	switch name {
-	case BufferPartitionsSetting:
-		if _, err := strconv.Atoi(value); err != nil {
-			return fmt.Errorf("sql: SET %s expects an integer: %w", BufferPartitionsSetting, err)
-		}
-	case FilterStrategySetting:
-		switch value {
-		case "auto", "pre", "post", "intraversal":
-		default:
-			return fmt.Errorf("sql: SET %s expects auto, pre, post, or intraversal", FilterStrategySetting)
-		}
-	case FilterOverfetchSetting:
-		if n, err := strconv.Atoi(value); err != nil || n < 1 {
-			return fmt.Errorf("sql: SET %s expects a positive integer", FilterOverfetchSetting)
-		}
-	case BatchWindowSetting:
-		if n, err := strconv.Atoi(value); err != nil || n < 0 || n > BatchWindowMaxMicros {
-			return fmt.Errorf("sql: SET %s expects an integer between 0 and %d (microseconds)", BatchWindowSetting, BatchWindowMaxMicros)
-		}
-	case BatchMaxSetting:
-		if n, err := strconv.Atoi(value); err != nil || n < 1 || n > BatchMaxLimit {
-			return fmt.Errorf("sql: SET %s expects an integer between 1 and %d", BatchMaxSetting, BatchMaxLimit)
-		}
-	case VacuumThresholdSetting:
-		if f, err := strconv.ParseFloat(value, 64); err != nil || f < 0 || f > 1 {
-			return fmt.Errorf("sql: SET %s expects a fraction between 0 and 1", VacuumThresholdSetting)
-		}
-	case DistanceKernelSetting:
-		// Any KNOWN kernel name is accepted regardless of what this host
-		// registered: a cluster router validates here and replays the SET
-		// onto shards whose hardware may differ, so avx2 must validate on
-		// a machine without the ISA (vec.ForName falls back at scan time).
-		ok := false
-		for _, name := range vec.KnownKernelNames() {
-			if value == name {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("sql: SET %s expects one of %s", DistanceKernelSetting, strings.Join(vec.KnownKernelNames(), ", "))
-		}
-	case SQ8RerankSetting:
-		if n, err := strconv.Atoi(value); err != nil || n < 1 || n > 64 {
-			return fmt.Errorf("sql: SET %s expects an integer between 1 and 64", SQ8RerankSetting)
-		}
-	}
-	return nil
+	st := defaultSettings()
+	return st.set(name, value)
 }
 
-// effective resolves a known setting to its current value: the session
-// override if SET, otherwise the default (the pool's live partition
-// count for buffer_partitions).
-func (s *Session) effective(st Setting) string {
-	if st.Name == BufferPartitionsSetting {
+// effective resolves a known setting to its current value (the pool's
+// live partition count for buffer_partitions).
+func (s *Session) effective(name string) string {
+	if name == BufferPartitionsSetting {
 		return strconv.Itoa(s.db.Pool().Partitions())
 	}
-	if v, ok := s.settings[st.Name]; ok {
-		return v
-	}
-	return st.Default
+	return s.set.show(name)
 }
 
 // Result is the outcome of one statement.
@@ -198,15 +245,18 @@ type Result struct {
 	Msg  string // DDL/utility acknowledgment
 }
 
-// Execute parses and runs one statement.
+// Execute parses and runs one statement; a vector search is planned and
+// Run at once.
 func (s *Session) Execute(text string) (*Result, error) {
-	stmt, err := Parse(text)
-	if err != nil {
-		return nil, err
+	res, q, err := s.ExecuteOrPlan(text)
+	if err != nil || q == nil {
+		return res, err
 	}
-	return s.run(stmt)
+	return q.Run()
 }
 
+// run executes every statement but SELECT, which ExecuteOrPlan routes to
+// runSelect.
 func (s *Session) run(stmt Stmt) (*Result, error) {
 	switch st := stmt.(type) {
 	case *CreateTableStmt:
@@ -231,7 +281,7 @@ func (s *Session) run(stmt Stmt) (*Result, error) {
 		}
 		return &Result{Msg: "CREATE INDEX"}, nil
 	case *SetStmt:
-		if err := s.applySet(st.Name, st.Value); err != nil {
+		if err := s.Set(st.Name, st.Value); err != nil {
 			return nil, err
 		}
 		return &Result{Msg: "SET"}, nil
@@ -239,17 +289,15 @@ func (s *Session) run(stmt Stmt) (*Result, error) {
 		if st.Name == "all" {
 			res := &Result{Cols: []string{"name", "setting", "description"}}
 			for _, known := range knownSettings {
-				res.Rows = append(res.Rows, []any{known.Name, s.effective(known), known.Desc})
+				res.Rows = append(res.Rows, []any{known.Name, s.effective(known.Name), known.Desc})
 			}
 			return res, nil
 		}
-		known, ok := lookupSetting(st.Name)
-		if !ok {
-			return nil, fmt.Errorf("sql: unrecognized setting %q (SHOW ALL lists the known settings)", st.Name)
+		v := s.effective(st.Name)
+		if v == "" {
+			return nil, errUnrecognized(st.Name)
 		}
-		return &Result{Cols: []string{st.Name}, Rows: [][]any{{s.effective(known)}}}, nil
-	case *SelectStmt:
-		return s.runSelect(st)
+		return &Result{Cols: []string{st.Name}, Rows: [][]any{{v}}}, nil
 	case *ExplainStmt:
 		return s.runExplain(st)
 	}
@@ -307,24 +355,11 @@ func matchingTIDs(tbl *heap.Table, pred *compiledPred) ([]heap.TID, error) {
 	return tids, err
 }
 
-// vacuumThreshold resolves the session's auto-vacuum trigger fraction.
-func (s *Session) vacuumThreshold() float64 {
-	v, ok := s.settings[VacuumThresholdSetting]
-	if !ok {
-		return 0
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0
-	}
-	return f
-}
-
 // maybeAutoVacuum vacuums the table if its dead fraction has reached the
 // session's vacuum_threshold. Callers hold the statement gate
 // exclusively already (DELETE/UPDATE run under it).
 func (s *Session) maybeAutoVacuum(tbl *heap.Table, table string) error {
-	th := s.vacuumThreshold()
+	th := s.set.vacuumThreshold
 	if th <= 0 || tbl.DeadFraction() < th {
 		return nil
 	}
@@ -475,26 +510,34 @@ func litToValue(lit Literal, col heap.Column) (any, error) {
 // in the target list of a vector search.
 const DistanceColumn = "distance"
 
-func (s *Session) runSelect(st *SelectStmt) (*Result, error) {
+// runSelect executes a plain SELECT to completion; [WHERE ...] ORDER BY
+// vec <-> '...' [LIMIT k] is only planned (planVector) and returned
+// unexecuted, so the query coalescer can hold it for a batch window (see
+// batch.go). Unfiltered vector searches prefer an index scan and fall
+// back to an exact scan-and-sort; filtered ones go through the planner
+// seam, which picks pre-filter, post-filter, or in-traversal by estimated
+// selectivity (see planner.go).
+func (s *Session) runSelect(st *SelectStmt) (*Result, *VectorQuery, error) {
 	tbl, err := s.db.Table(st.Table)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	schema := tbl.Schema()
 	outCols, err := resolveColumns(st, schema)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The predicate is validated against the schema before dispatch, so
 	// an unknown WHERE column errors identically on the scan and vector
 	// paths (the silent-drop bug ignored it entirely on the latter).
 	pred, err := compilePred(st.Where, schema)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	if st.OrderCol != "" {
-		return s.runVectorSearch(st, tbl, outCols, pred)
+		q, err := s.planVector(st, tbl, outCols, pred)
+		return nil, q, err
 	}
 
 	// Plain (optionally filtered) sequential scan.
@@ -520,27 +563,12 @@ func (s *Session) runSelect(st *SelectStmt) (*Result, error) {
 		return true, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if st.CountStar {
 		res.Rows = [][]any{{int64(count)}}
 	}
-	return res, nil
-}
-
-// runVectorSearch executes [WHERE ...] ORDER BY vec <-> '...' [LIMIT k].
-// Unfiltered queries prefer an index scan and fall back to an exact
-// scan-and-sort; filtered queries go through the planner seam, which
-// picks pre-filter, post-filter, or in-traversal by estimated
-// selectivity (see planner.go). Planning and execution are split as
-// planVector + Run so the query coalescer can hold a planned query for
-// a batch window (see batch.go).
-func (s *Session) runVectorSearch(st *SelectStmt, tbl *heap.Table, outCols []int, pred *compiledPred) (*Result, error) {
-	q, err := s.planVector(st, tbl, outCols, pred)
-	if err != nil {
-		return nil, err
-	}
-	return q.Run()
+	return res, nil, nil
 }
 
 // execTrace records what the last filtered search actually did, for
@@ -552,83 +580,26 @@ type execTrace struct {
 	strategy FilterStrategy
 }
 
-// exactSearch is the brute-force path: one heap pass, predicate pushed
-// below the distance computation, survivors ranked in a bounded top-k
-// heap. It serves both the unfiltered no-index fallback (pred == nil)
-// and the pre-filter strategy.
-func (s *Session) exactSearch(st *SelectStmt, tbl *heap.Table, vcol, k int, pred *compiledPred, outCols []int, res *Result) (*Result, error) {
-	if pred != nil {
-		s.lastFilter.strategy = FilterPre
-	}
-	kern, err := vec.ForName(s.settings[DistanceKernelSetting])
-	if err != nil {
-		return nil, err
-	}
-	schema := tbl.Schema()
-	top := minheap.NewTopK(k)
-	var tids []heap.TID
-	err = tbl.Scan(func(tid heap.TID, tup []byte) (bool, error) {
-		if pred != nil {
-			vals, err := schema.Decode(tup)
-			if err != nil {
-				return false, err
-			}
-			if !pred.eval(vals) {
-				return true, nil
-			}
-		}
-		v, err := schema.VectorAt(tup, vcol)
-		if err != nil {
-			return false, err
-		}
-		if len(v) != len(st.QueryVec) {
-			return false, fmt.Errorf("sql: query vector has %d dims, column %q has %d", len(st.QueryVec), st.OrderCol, len(v))
-		}
-		top.Push(int64(len(tids)), kern.L2Sqr(st.QueryVec, v))
-		tids = append(tids, tid)
-		return true, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, it := range top.Results() {
-		row, ok, err := s.fetchRow(tbl, tids[it.ID], outCols, it.Dist)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
-}
-
 // postFilterSearch over-fetches k' = k·α from the index, keeps the hits
 // satisfying pred, and doubles k' until k survive or k' has reached the
 // table size (the index is exhausted). Termination is unconditional:
 // k' grows geometrically to the n cap, so a predicate matching zero
 // rows performs O(log n) rounds and returns empty, with total fetched
 // hits bounded by the k'-series sum (< 4n).
-func (s *Session) postFilterSearch(tbl *heap.Table, idx am.Index, query []float32, k int, cp *compiledPred) ([]am.Result, error) {
-	s.lastFilter.strategy = FilterPost
-	alpha := 4
-	if v, ok := s.settings[FilterOverfetchSetting]; ok {
-		if n, err := strconv.Atoi(v); err == nil && n >= 1 {
-			alpha = n
-		}
-	}
-	n := int(tbl.NTuples())
-	pred := predicateFor(tbl, cp)
-	kPrime := k * alpha
+func (q *VectorQuery) postFilterSearch() ([]am.Result, error) {
+	s, k := q.s, q.k
+	n := int(q.tbl.NTuples())
+	pred := predicateFor(q.tbl, q.pred)
+	kPrime := k * s.set.filterOverfetch
 	if kPrime > n || kPrime < k { // cap at table size; guard overflow
 		kPrime = n
 	}
 	for {
-		hits, err := idx.Search(query, kPrime, s.settings)
+		scanned, err := q.idx.Scan([]am.Query{{Vec: q.st.QueryVec, K: kPrime}}, &s.set.scan)
 		if err != nil {
 			return nil, err
 		}
+		hits := scanned[0]
 		s.lastFilter.fetched += len(hits)
 		survivors := make([]am.Result, 0, k)
 		for _, h := range hits {
@@ -652,23 +623,6 @@ func (s *Session) postFilterSearch(tbl *heap.Table, idx am.Index, query []float3
 			kPrime = n
 		}
 	}
-}
-
-// fetchRow resolves a TID to projected output values. A TID whose heap
-// tuple has died since the index entry was written reports (nil, false,
-// nil) and the caller drops the row — the executor's visibility
-// re-check, the last line of defense against a stale index TID.
-func (s *Session) fetchRow(tbl *heap.Table, tid heap.TID, outCols []int, dist float32) ([]any, bool, error) {
-	var row []any
-	ok, err := tbl.GetVisible(tid, func(tup []byte) error {
-		vals, err := tbl.Schema().Decode(tup)
-		if err != nil {
-			return err
-		}
-		row = project(vals, outCols, dist)
-		return nil
-	})
-	return row, ok, err
 }
 
 // resolveColumns maps the target list to column ordinals; -1 encodes the
@@ -758,37 +712,18 @@ func (s *Session) runExplain(st *ExplainStmt) (*Result, error) {
 
 	var lines []string
 	if sel.OrderCol != "" {
-		filterLine := func(indent string) {
-			if pred == nil {
-				return
-			}
-			lines = append(lines, fmt.Sprintf("%sFilter: %s (%s, est sel=%.2f)", indent, pred, plan.strategy, plan.selectivity))
-		}
+		lines = append(lines, fmt.Sprintf("Limit (k=%d)", sel.Limit))
 		if idx := s.db.IndexOn(sel.Table, sel.OrderCol); idx != nil && plan.strategy != FilterPre {
-			params := make([]string, 0, len(s.settings))
-			for k, v := range s.settings {
-				params = append(params, k+"="+v)
-			}
-			sort.Strings(params)
-			lines = append(lines,
-				fmt.Sprintf("Limit (k=%d)", sel.Limit),
-				fmt.Sprintf("  -> Index Scan using %s on %s (%s)", idx.AM(), sel.Table, strings.Join(params, " ")),
-			)
-			filterLine("       ")
+			lines = append(lines, fmt.Sprintf("  -> Index Scan using %s on %s (%s)", idx.AM(), sel.Table, s.set.render()))
 		} else {
-			lines = append(lines,
-				fmt.Sprintf("Limit (k=%d)", sel.Limit),
-				"  -> Sort by vector distance",
-				fmt.Sprintf("    -> Seq Scan on %s", sel.Table),
-			)
-			filterLine("       ")
+			lines = append(lines, "  -> Sort by vector distance", fmt.Sprintf("    -> Seq Scan on %s", sel.Table))
 		}
-		// Report the kernel that will actually score distances: ForName
-		// falls back to the default when the requested kernel is known
-		// but not registered on this host (avx2 without AVX2).
-		if kern, err := vec.ForName(s.settings[DistanceKernelSetting]); err == nil {
-			lines = append(lines, fmt.Sprintf("Kernel: %s", kern.Name()))
+		if pred != nil {
+			lines = append(lines, fmt.Sprintf("       Filter: %s (%s, est sel=%.2f)", pred, plan.strategy, plan.selectivity))
 		}
+		// The kernel that will actually score distances: SET resolved a
+		// known but unregistered name (avx2 without AVX2) to the default.
+		lines = append(lines, fmt.Sprintf("Kernel: %s", s.set.scan.Kernel.Name()))
 		if vq != nil {
 			if ok, reason := vq.Batchable(); ok {
 				lines = append(lines, fmt.Sprintf("Batchable: yes (group %s)", vq.GroupKey()))

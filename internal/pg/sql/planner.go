@@ -21,7 +21,7 @@ import (
 //     non-matching hits and refilling (k' doubles) until k survive or
 //     the index is exhausted. Wins when most rows match.
 //   - in-traversal: the predicate rides into the access method
-//     (am.FilteredIndex) so non-matching tuples never enter the result
+//     (am.Query.Pred) so non-matching tuples never enter the result
 //     heap — HNSW beam search and IVF list scans skip them in place.
 //     Wins at middling selectivity, where post-filter over-fetches and
 //     pre-filter still pays a full heap pass.
@@ -40,17 +40,15 @@ const (
 	FilterInTraversal
 )
 
-func (f FilterStrategy) String() string {
-	switch f {
-	case FilterPre:
-		return "pre-filter"
-	case FilterPost:
-		return "post-filter"
-	case FilterInTraversal:
-		return "in-traversal"
-	}
-	return "none"
-}
+// A FilterStrategy is spelled two ways: filterStrategyName in plans
+// (EXPLAIN, group keys), filterStrategyKnob by SET filter_strategy, where
+// FilterNone — no strategy forced — reads auto.
+var (
+	filterStrategyName = [...]string{FilterNone: "none", FilterPre: "pre-filter", FilterPost: "post-filter", FilterInTraversal: "in-traversal"}
+	filterStrategyKnob = [...]string{FilterNone: "auto", FilterPre: "pre", FilterPost: "post", FilterInTraversal: "intraversal"}
+)
+
+func (f FilterStrategy) String() string { return filterStrategyName[f] }
 
 // Selectivity thresholds of the auto policy. Below Low a predicate is
 // selective enough that scanning only matching rows beats any index
@@ -195,7 +193,6 @@ func estimateSelectivity(tbl *heap.Table, cp *compiledPred) (float64, error) {
 type filterPlan struct {
 	strategy    FilterStrategy
 	selectivity float64 // estimated; meaningful when strategy != FilterNone
-	forced      bool    // SET filter_strategy overrode the estimate
 }
 
 // FilterStrategySetting and FilterOverfetchSetting are the session knobs
@@ -207,11 +204,11 @@ const (
 	FilterOverfetchSetting = "filter_overfetch"
 )
 
-// planFilter picks the execution strategy for st's predicate. idx may be
+// planFilter picks the execution strategy for st's predicate: the one
+// SET filter_strategy forces, else by estimated selectivity. idx may be
 // nil (no index on the ORDER BY column), which leaves only the exact
-// pre-filter path. A forced in-traversal choice silently falls back to
-// post-filter when the AM cannot filter in traversal; EXPLAIN reports
-// the strategy actually planned.
+// pre-filter path whatever was forced; EXPLAIN reports the strategy
+// actually planned.
 func (s *Session) planFilter(tbl *heap.Table, idx am.Index, cp *compiledPred) (filterPlan, error) {
 	if cp == nil {
 		return filterPlan{strategy: FilterNone}, nil
@@ -220,33 +217,19 @@ func (s *Session) planFilter(tbl *heap.Table, idx am.Index, cp *compiledPred) (f
 	if err != nil {
 		return filterPlan{}, err
 	}
-	_, inTraversalOK := idx.(am.FilteredIndex)
-	switch s.settings[FilterStrategySetting] {
-	case "pre":
-		return filterPlan{strategy: FilterPre, selectivity: sel, forced: true}, nil
-	case "post":
-		if idx == nil {
-			return filterPlan{strategy: FilterPre, selectivity: sel, forced: true}, nil
-		}
-		return filterPlan{strategy: FilterPost, selectivity: sel, forced: true}, nil
-	case "intraversal":
-		if !inTraversalOK {
-			if idx == nil {
-				return filterPlan{strategy: FilterPre, selectivity: sel, forced: true}, nil
-			}
-			return filterPlan{strategy: FilterPost, selectivity: sel, forced: true}, nil
-		}
-		return filterPlan{strategy: FilterInTraversal, selectivity: sel, forced: true}, nil
-	}
-	// auto
+	plan := filterPlan{strategy: s.set.filterStrategy, selectivity: sel}
 	switch {
-	case idx == nil || sel < selLowThreshold:
-		return filterPlan{strategy: FilterPre, selectivity: sel}, nil
-	case sel < selHighThreshold && inTraversalOK:
-		return filterPlan{strategy: FilterInTraversal, selectivity: sel}, nil
+	case idx == nil:
+		plan.strategy = FilterPre
+	case plan.strategy != FilterNone: // forced
+	case sel < selLowThreshold:
+		plan.strategy = FilterPre
+	case sel < selHighThreshold:
+		plan.strategy = FilterInTraversal
 	default:
-		return filterPlan{strategy: FilterPost, selectivity: sel}, nil
+		plan.strategy = FilterPost
 	}
+	return plan, nil
 }
 
 // predicateFor compiles cp into an am.Predicate resolving TIDs through

@@ -331,3 +331,39 @@ func TestHeapSchemaUsedBySQL(t *testing.T) {
 		t.Errorf("float[] parsed as %v", ct.Schema.Cols[0].Type)
 	}
 }
+
+// TestScanKnobsValidatedAtSet: a scan knob's value is parsed by the SET
+// statement, so a bad one is that statement's error — not an error on
+// every later kNN of the session (nprobe, efs), a silent "n" (heap) or a
+// serial scan EXPLAIN calls parallel (threads). The session keeps the
+// value it had and keeps answering.
+func TestScanKnobsValidatedAtSet(t *testing.T) {
+	s := newSession(t)
+	loadVectors(t, s, 300)
+	mustExec(t, s, "CREATE INDEX v_idx ON t USING ivfflat (vec) WITH (clusters = 16, sample_ratio = 1, seed = 1)")
+	const knn = "SELECT id FROM t ORDER BY vec <-> '{42.2, 42.2, 0, 0}' LIMIT 3"
+	for _, prev := range []string{"SET nprobe = 16", "SET efs = 100", "SET threads = 2", "SET heap = k"} {
+		mustExec(t, s, prev)
+	}
+	want := resultIDs(mustExec(t, s, knn))
+	for _, tc := range []struct{ knob, bad, prev string }{
+		{"nprobe", "abc", "16"},
+		{"nprobe", "0", "16"},
+		{"efs", "x", "100"},
+		{"threads", "-3", "2"},
+		{"heap", "foo", "k"},
+	} {
+		if _, err := s.Execute("SET " + tc.knob + " = " + tc.bad); err == nil {
+			t.Errorf("SET %s = %s accepted", tc.knob, tc.bad)
+		}
+		if err := ValidateSetting(tc.knob, tc.bad); err == nil {
+			t.Errorf("ValidateSetting(%s, %s) accepted", tc.knob, tc.bad)
+		}
+		if got := mustExec(t, s, "SHOW "+tc.knob).Rows[0][0].(string); got != tc.prev {
+			t.Errorf("SHOW %s after rejected SET = %q, want %q", tc.knob, got, tc.prev)
+		}
+		if got := resultIDs(mustExec(t, s, knn)); !idsEqual(got, want) {
+			t.Errorf("kNN after rejected SET %s = %s: ids %v, want %v", tc.knob, tc.bad, got, want)
+		}
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 
-	"vecstudy/internal/pase"
 	paseivf "vecstudy/internal/pase/ivfflat"
 	"vecstudy/internal/pg/am"
 	"vecstudy/internal/pg/heap"
@@ -25,10 +24,13 @@ func init() {
 	am.Register("pgv_ivfflat", Build)
 }
 
-// Index wraps the PASE bucket structure with the slower ranking strategy.
+var _ am.Index = (*Index)(nil)
+
+// Index is the PASE bucket structure (whose Insert, Delete, DeadCount,
+// Maintain and SizeBytes it keeps) with the slower ranking strategy.
 type Index struct {
-	inner *paseivf.Index
-	ctx   *am.BuildContext
+	*paseivf.Index
+	ctx *am.BuildContext
 }
 
 // Build constructs the underlying IVF structure (same options as the PASE
@@ -38,49 +40,50 @@ func Build(ctx *am.BuildContext) (am.Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Index{inner: inner.(*paseivf.Index), ctx: ctx}, nil
+	return &Index{Index: inner.(*paseivf.Index), ctx: ctx}, nil
 }
 
 // AM implements am.Index.
 func (ix *Index) AM() string { return "pgv_ivfflat" }
 
-// Insert implements am.Index.
-func (ix *Index) Insert(v []float32, tid heap.TID) error { return ix.inner.Insert(v, tid) }
-
-// SizeBytes implements am.Index.
-func (ix *Index) SizeBytes() (int64, error) { return ix.inner.SizeBytes() }
-
-// SearchFiltered implements am.FilteredIndex by delegating to the
-// underlying PASE bucket structure's in-traversal scan: the predicate
-// gates candidates inside the bucket walk, which is the behaviour the
-// extension family grew after its early releases.
-func (ix *Index) SearchFiltered(query []float32, k int, params map[string]string, pred am.Predicate) ([]am.Result, error) {
-	if pred == nil {
-		return ix.Search(query, k, params)
+// Scan implements am.Index, query by query. A filtered query delegates
+// to the underlying PASE bucket structure's in-traversal scan: the
+// predicate gates candidates inside the bucket walk, which is the
+// behaviour the extension family grew after its early releases.
+func (ix *Index) Scan(queries []am.Query, opts *am.ScanOpts) ([][]am.Result, error) {
+	if opts == nil {
+		opts = am.DefaultScanOpts()
 	}
-	return ix.inner.SearchFiltered(query, k, params, pred)
+	return am.ScanEach(queries, func(q am.Query) ([]am.Result, error) { return ix.scanOne(q, opts) })
 }
 
-// Search implements am.Index: full candidate materialization plus
-// comparison sort, then a heap re-fetch per returned row.
+// Search implements am.Index's compat shim.
 func (ix *Index) Search(query []float32, k int, params map[string]string) ([]am.Result, error) {
-	if err := ix.inner.CheckQuery(query, k); err != nil {
+	return am.SearchCompat(ix, query, k, params)
+}
+
+// scanOne answers one query. Unfiltered, it is the early-pgvector
+// ranking: full candidate materialization plus comparison sort, then a
+// heap re-fetch per returned row.
+func (ix *Index) scanOne(query am.Query, opts *am.ScanOpts) ([]am.Result, error) {
+	q, k := query.Vec, query.K
+	if query.Pred != nil {
+		out, err := ix.Index.Scan([]am.Query{query}, opts)
+		if err != nil {
+			return nil, err
+		}
+		return out[0], nil
+	}
+	if err := ix.Index.CheckQuery(q, k); err != nil {
 		return nil, err
 	}
-	nprobe, err := pase.OptInt(params, "nprobe", 20)
-	if err != nil {
-		return nil, err
-	}
-	kern, err := pase.KernelOpt(params)
-	if err != nil {
-		return nil, err
-	}
+	kern := opts.Kernel
 	type cand struct {
 		tid  heap.TID
 		dist float32
 	}
 	cands := make([]cand, 0, 4096)
-	err = ix.inner.ScanProbes(kern, query, nprobe, func(tid heap.TID, dist float32) {
+	err := ix.Index.ScanProbes(kern, q, opts.NProbe, func(tid heap.TID, dist float32) {
 		cands = append(cands, cand{tid: tid, dist: dist})
 	})
 	if err != nil {
@@ -101,18 +104,7 @@ func (ix *Index) Search(query []float32, k int, params map[string]string) ([]am.
 		if !ok {
 			continue
 		}
-		out = append(out, am.Result{TID: cands[i].tid, Dist: kern.L2Sqr(query, v)})
+		out = append(out, am.Result{TID: cands[i].tid, Dist: kern.L2Sqr(q, v)})
 	}
 	return out, nil
 }
-
-// Delete implements am.MutableIndex by tombstoning the entry in the
-// underlying bucket structure.
-func (ix *Index) Delete(v []float32, tid heap.TID) (bool, error) { return ix.inner.Delete(v, tid) }
-
-// DeadCount implements am.MutableIndex.
-func (ix *Index) DeadCount() int64 { return ix.inner.DeadCount() }
-
-// Maintain implements am.MutableIndex: IVF list compaction on the
-// underlying chains.
-func (ix *Index) Maintain() (int64, error) { return ix.inner.Maintain() }
