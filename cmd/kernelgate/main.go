@@ -52,7 +52,8 @@ func randVecs(n, d int) []float32 {
 
 // shapes mirrors internal/vec's BenchmarkKernel* surface: solo and
 // batch distance shapes at a cache-resident and a larger dimension,
-// the NT centroid-scoring shape, and the SQ8 asymmetric forms — solo,
+// the page-segment shape the flat scan scores with, the NT
+// centroid-scoring shape, and the SQ8 asymmetric forms — solo,
 // page-batch, and the decomposed scan's uint8 dot product.
 func shapes() []shape {
 	var out []shape
@@ -82,6 +83,27 @@ func shapes() []shape {
 				dst := make([]float32, n)
 				for i := 0; i < b.N; i++ {
 					k.L2SqrBatch(q, rows, dst)
+				}
+			},
+		})
+	}
+	// The flat scan's call: one 8 KiB index page of tuple rows against
+	// the queries subscribed to the bucket (one solo, two coalesced).
+	for _, n := range []int{1, 2} {
+		n := n
+		out = append(out, shape{
+			name: fmt.Sprintf("ntrows/m=15,n=%d,d=128", n),
+			run: func(k vec.Kernel, b *testing.B) {
+				const m, d = 15, 128
+				flat := randVecs(m, d)
+				rows := make([][]float32, m)
+				for i := range rows {
+					rows[i] = flat[i*d : (i+1)*d]
+				}
+				qs := randVecs(n, d)
+				dst := make([]float32, m*n)
+				for i := 0; i < b.N; i++ {
+					k.L2SqrNTRows(rows, d, qs, n, dst)
 				}
 			},
 		})

@@ -172,10 +172,10 @@ func runAblationLayout(cfg *Config) error {
 		return err
 	}
 	cfg.printf("layout   build_s   size_MB    avg_query   recall@k\n")
-	for _, packed := range []string{"false", "true"} {
+	for _, packed := range []bool{false, true} {
 		p := core.Defaults(ds)
 		p.K = 10
-		p.ExtraAMOpts = map[string]string{"packed": packed}
+		p.Packed = packed
 		gen, gb, err := core.BuildGeneralized(core.HNSW, ds, p)
 		if err != nil {
 			return err
@@ -188,7 +188,7 @@ func runAblationLayout(cfg *Config) error {
 			return err
 		}
 		label := "pase"
-		if packed == "true" {
+		if packed {
 			label = "packed"
 		}
 		cfg.printf("%-8s %-9.3f %-10.2f %-11v %.3f\n", label, secs(gb.Total), mb(gb.SizeBytes),

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"vecstudy/internal/core"
 	"vecstudy/internal/dataset"
 	"vecstudy/internal/vec"
 )
@@ -128,6 +129,7 @@ func Run(id string, cfg *Config) error {
 	cfg.printf("## %s — %s\n", e.ID, e.Title)
 	cfg.printf("## paper: %s\n", e.Paper)
 	cfg.printf("## scale=%.3f queries<=%d seed=%d\n", cfg.Scale, cfg.Queries, cfg.Seed)
+	cfg.printf("## engines: %s (core.Defaults; a row that moves one says so)\n", core.PaperPositions())
 	start := time.Now()
 	if err := e.Run(cfg); err != nil {
 		return fmt.Errorf("bench: %s: %w", id, err)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"vecstudy/internal/core"
 	"vecstudy/internal/pg/db"
 	"vecstudy/internal/pg/sql"
 	"vecstudy/internal/vec"
@@ -22,13 +23,14 @@ func init() {
 
 // runKernels builds one ivfflat index and replays the identical kNN
 // workload once per session kernel — ref (the PASE-style scalar
-// baseline), unrolled (generic Go, the default), and avx2 where the
-// host registers it. The only variable across rows is SET
-// distance_kernel, so the speedup column is the end-to-end realization
-// of the microbench ratios cmd/kernelgate gates: how much of the
-// kernel-level win survives page pinning, heap pushes, and SQL
-// dispatch. Unregistered known kernels (avx2 on a host without the ISA)
-// are skipped rather than silently re-measuring the fallback.
+// baseline), unrolled (generic Go), and avx2 where the host registers
+// it. The session is pinned to the paper positions first (heap = n), so
+// the only variable across rows is SET distance_kernel, and the speedup
+// column is the end-to-end realization of the microbench ratios
+// cmd/kernelgate gates: how much of the kernel-level win survives page
+// pinning, heap pushes, and SQL dispatch. Unregistered known kernels
+// (avx2 on a host without the ISA) are skipped rather than silently
+// re-measuring the fallback.
 func runKernels(cfg *Config) error {
 	const k = 10
 	for _, name := range cfg.Datasets {
@@ -45,7 +47,7 @@ func runKernels(cfg *Config) error {
 		if nprobe < 1 {
 			nprobe = 1
 		}
-		cfg.printf("dataset=%s n=%d d=%d clusters=%d nprobe=%d k=%d am=ivfflat\n",
+		cfg.printf("dataset=%s n=%d d=%d clusters=%d nprobe=%d k=%d am=ivfflat heap=n\n",
 			name, n, ds.Base.D, clusters, nprobe, k)
 		cfg.printf("kernel    avg_query   qps       recall@k  qps_vs_ref\n")
 
@@ -68,6 +70,10 @@ func runKernels(cfg *Config) error {
 			return err
 		}
 		sess := sql.NewSession(d)
+		if err := core.PinSession(sess); err != nil {
+			d.Close()
+			return err
+		}
 		if _, err := sess.Execute("CREATE TABLE t (id int, vec float[])"); err != nil {
 			d.Close()
 			return err

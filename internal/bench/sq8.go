@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"vecstudy/internal/core"
 	"vecstudy/internal/pg/db"
 	"vecstudy/internal/pg/sql"
 	"vecstudy/internal/vec"
@@ -43,16 +44,11 @@ func runSQ8(cfg *Config) error {
 		if nprobe < 1 {
 			nprobe = 1
 		}
-		// Both AMs score with the same (fastest registered) kernel so the
-		// comparison isolates the quantization, not the instruction set:
-		// avx2 when the host has it, else the default.
+		// Both AMs score with the same kernel — the fastest the host
+		// registered — so the comparison isolates the quantization, not the
+		// instruction set; the ivfflat baseline keeps the paper's heap = n.
 		kernel := vec.Default().Name()
-		for _, kn := range vec.RegisteredKernelNames() {
-			if kn == "avx2" {
-				kernel = kn
-			}
-		}
-		cfg.printf("dataset=%s n=%d d=%d clusters=%d nprobe=%d k=%d kernel=%s\n",
+		cfg.printf("dataset=%s n=%d d=%d clusters=%d nprobe=%d k=%d kernel=%s heap=n\n",
 			name, n, ds.Base.D, clusters, nprobe, k, kernel)
 		cfg.printf("am        beta  build_s  size_MB  avg_query   qps       recall@k  qps_vs_flat\n")
 
@@ -82,6 +78,10 @@ func runSQ8(cfg *Config) error {
 				return err
 			}
 			sess := sql.NewSession(d)
+			if err := core.PinSession(sess); err != nil {
+				d.Close()
+				return err
+			}
 			if _, err := sess.Execute("CREATE TABLE t (id int, vec float[])"); err != nil {
 				d.Close()
 				return err

@@ -67,6 +67,10 @@ func buildGeneralized(kind IndexKind, engine Engine, ds *dataset.Dataset, p Para
 	if err != nil {
 		return nil, res, err
 	}
+	kern, err := p.kernel()
+	if err != nil {
+		return nil, res, err
+	}
 	frames := p.BufferFrames
 	if frames == 0 {
 		// Size the pool to keep the table and index memory-resident, per
@@ -117,9 +121,7 @@ func buildGeneralized(kind IndexKind, engine Engine, ds *dataset.Dataset, p Para
 	case HNSW:
 		opts["bnn"] = strconv.Itoa(p.BNN)
 		opts["efb"] = strconv.Itoa(p.EFB)
-	}
-	for k, v := range p.ExtraAMOpts {
-		opts[k] = v
+		opts["packed"] = strconv.FormatBool(p.Packed)
 	}
 
 	start := time.Now()
@@ -149,6 +151,7 @@ func buildGeneralized(kind IndexKind, engine Engine, ds *dataset.Dataset, p Para
 		scan: *am.DefaultScanOpts(),
 	}
 	gi.scan.NProbe, gi.scan.EFS, gi.scan.Threads = p.NProbe, p.EFS, p.SearchThreads
+	gi.scan.HeapK, gi.scan.Kernel = paperHeapK, kern
 	return gi, res, nil
 }
 

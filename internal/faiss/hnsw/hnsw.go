@@ -32,7 +32,10 @@ type Options struct {
 	// EFB is the construction-time priority-queue length (paper efb).
 	EFB  int
 	Seed int64
-	Prof *prof.Profile
+	// Kernel scores every distance, graph construction included; nil =
+	// vec.Default().
+	Kernel vec.Kernel
+	Prof   *prof.Profile
 }
 
 // Stats reports construction timing by phase (Table III).
@@ -77,6 +80,9 @@ func New(opts Options) (*Index, error) {
 	}
 	if opts.EFB == 0 {
 		opts.EFB = 40
+	}
+	if opts.Kernel == nil {
+		opts.Kernel = vec.Default()
 	}
 	return &Index{
 		opts:       opts,
@@ -305,7 +311,7 @@ func (ix *Index) selectNeighbors(cands []minheap.Item, capacity int) []minheap.I
 		cv := ix.vecs.Row(int(c.ID))
 		diverse := true
 		for _, s := range kept {
-			if kern.L2Sqr(cv, ix.vecs.Row(int(s.ID))) < c.Dist {
+			if ix.opts.Kernel.L2Sqr(cv, ix.vecs.Row(int(s.ID))) < c.Dist {
 				diverse = false
 				break
 			}
@@ -325,13 +331,8 @@ func (ix *Index) selectNeighbors(cands []minheap.Item, capacity int) []minheap.I
 	return kept
 }
 
-// kern is the fixed kernel the specialized engine scores with: the
-// session-level SET distance_kernel knob is a SQL-layer concept; the
-// in-memory engine always uses the best registered kernel.
-var kern = vec.Default()
-
 func (ix *Index) dist(x []float32, id int32) float32 {
-	return kern.L2Sqr(x, ix.vecs.Row(int(id)))
+	return ix.opts.Kernel.L2Sqr(x, ix.vecs.Row(int(id)))
 }
 
 // Search returns the k nearest stored vectors to query. efs is the search

@@ -36,6 +36,7 @@ type Options struct {
 	KMeansFlavor kmeans.Flavor // RC#5
 	SampleRatio  float64       // K-means training sample ratio (paper parameter sr)
 	Seed         int64
+	Kernel       vec.Kernel    // scores probe selection and bucket scans; nil = vec.Default()
 	Prof         *prof.Profile // optional breakdown instrumentation
 }
 
@@ -66,6 +67,9 @@ func New(opts Options) (*Index, error) {
 	}
 	if opts.NList <= 0 {
 		return nil, errors.New("ivfflat: NList must be positive")
+	}
+	if opts.Kernel == nil {
+		opts.Kernel = vec.Default()
 	}
 	return &Index{opts: opts}, nil
 }
@@ -184,7 +188,7 @@ func (ix *Index) Search(query []float32, k int, p SearchParams) ([]minheap.Item,
 		vecs, ids := ix.listVecs[list], ix.listIDs[list]
 		for i, id := range ids {
 			ts := tDist.Start()
-			dist := kern.L2Sqr(query, vecs[i*d:(i+1)*d])
+			dist := ix.opts.Kernel.L2Sqr(query, vecs[i*d:(i+1)*d])
 			tDist.Stop(ts)
 			ts = tHeap.Start()
 			heap.Push(id, dist)
@@ -194,18 +198,13 @@ func (ix *Index) Search(query []float32, k int, p SearchParams) ([]minheap.Item,
 	return heap.Results(), nil
 }
 
-// kern is the fixed kernel the specialized engine scores with: the
-// session-level SET distance_kernel knob is a SQL-layer concept; the
-// in-memory engine always uses the best registered kernel.
-var kern = vec.Default()
-
 // selectProbes ranks centroids by distance to the query and returns the
 // nprobe closest list numbers.
 func (ix *Index) selectProbes(query []float32, nprobe int) []int32 {
 	heap := minheap.NewTopK(nprobe)
 	d := ix.opts.Dim
 	for c := 0; c < ix.opts.NList; c++ {
-		heap.Push(int64(c), kern.L2Sqr(query, ix.centroids[c*d:(c+1)*d]))
+		heap.Push(int64(c), ix.opts.Kernel.L2Sqr(query, ix.centroids[c*d:(c+1)*d]))
 	}
 	items := heap.Results()
 	out := make([]int32, len(items))
@@ -248,7 +247,7 @@ func (ix *Index) searchParallel(query []float32, k int, probes []int32, threads 
 				}
 				vecs, ids := ix.listVecs[list], ix.listIDs[list]
 				for i, id := range ids {
-					local.Push(id, kern.L2Sqr(query, vecs[i*d:(i+1)*d]))
+					local.Push(id, ix.opts.Kernel.L2Sqr(query, vecs[i*d:(i+1)*d]))
 				}
 			}
 		}(locals[t])

@@ -37,6 +37,7 @@ type Options struct {
 	// PrecomputeTable enables the Faiss-style precomputed term tables
 	// (RC#7). Off reproduces the PASE per-list computation.
 	PrecomputeTable bool
+	Kernel          vec.Kernel // scores probe selection; nil = vec.Default()
 	Prof            *prof.Profile
 }
 
@@ -71,6 +72,9 @@ func New(opts Options) (*Index, error) {
 	}
 	if opts.KSub == 0 {
 		opts.KSub = 256
+	}
+	if opts.Kernel == nil {
+		opts.Kernel = vec.Default()
 	}
 	return &Index{opts: opts}, nil
 }
@@ -337,16 +341,11 @@ func (ix *Index) scanList(list int32, term1 float32, tab []float32, heap *minhea
 	pr.Timer("adc-scan").Stop(ts)
 }
 
-// kern is the fixed kernel the specialized engine scores with: the
-// session-level SET distance_kernel knob is a SQL-layer concept; the
-// in-memory engine always uses the best registered kernel.
-var kern = vec.Default()
-
 func (ix *Index) selectProbes(query []float32, nprobe int) ([]int32, []float32) {
 	heap := minheap.NewTopK(nprobe)
 	d := ix.opts.Dim
 	for c := 0; c < ix.opts.NList; c++ {
-		heap.Push(int64(c), kern.L2Sqr(query, ix.centroids[c*d:(c+1)*d]))
+		heap.Push(int64(c), ix.opts.Kernel.L2Sqr(query, ix.centroids[c*d:(c+1)*d]))
 	}
 	items := heap.Results()
 	lists := make([]int32, len(items))

@@ -18,11 +18,10 @@ import (
 // entryState reads a vertex's data-entry header: its heap TID, its top
 // graph level, and whether it is tombstoned.
 func (ix *Index) entryState(v VID) (tid heap.TID, level uint16, dead bool, err error) {
-	pr := ix.ctx.Prof
-	ts := pr.Timer("tuple_access").Start()
+	ts := ix.tTuple.Start()
 	buf, err := ix.ctx.Pool.Pin(ix.ctx.Rel, v.DataBlk)
 	if err != nil {
-		pr.Timer("tuple_access").Stop(ts)
+		ix.tTuple.Stop(ts)
 		return tid, 0, false, err
 	}
 	item, err := buf.Page().Item(v.DataOff)
@@ -31,7 +30,7 @@ func (ix *Index) entryState(v VID) (tid heap.TID, level uint16, dead bool, err e
 		level = decodeDataLevel(item)
 		dead = item[6] != 0
 	}
-	pr.Timer("tuple_access").Stop(ts)
+	ix.tTuple.Stop(ts)
 	buf.Release()
 	return tid, level, dead, err
 }
@@ -205,7 +204,9 @@ func (ix *Index) repairLevel(v VID, level uint16) error {
 }
 
 // electEntry replaces a dead entry point with the highest-levelled live
-// vertex, or marks the graph empty when none remain.
+// vertex — among equals the one at the lowest (DataBlk, DataOff), so the
+// election, and with it every later scan, does not depend on map
+// iteration order — or marks the graph empty when none remain.
 func (ix *Index) electEntry() error {
 	best := InvalidVID
 	bestLevel := int32(-1)
@@ -214,8 +215,9 @@ func (ix *Index) electEntry() error {
 		if err != nil {
 			return err
 		}
-		if int32(level) > bestLevel {
-			best, bestLevel = v, int32(level)
+		lower := v.DataBlk < best.DataBlk || v.DataBlk == best.DataBlk && v.DataOff < best.DataOff
+		if l := int32(level); l > bestLevel || l == bestLevel && lower {
+			best, bestLevel = v, l
 		}
 	}
 	ix.meta.Entry = best

@@ -3,28 +3,35 @@ package hnsw
 import (
 	"hash/fnv"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"vecstudy/internal/pg/am"
 	"vecstudy/internal/testutil"
+	"vecstudy/internal/vec"
 )
 
-// golden pins, per adjacency layout (WITH packed = …), the index
-// footprint and an FNV-1a digest over every (TID, Float32bits(Dist))
-// that solo, filtered and batched scans return for a fixed corpus, seed
-// and efs set. The constants were recorded at the commit before
+// golden pins, per adjacency layout (WITH packed = …, always named: the
+// default moved to true), the index footprint and an FNV-1a digest over
+// every (TID, Float32bits(Dist)) that solo, filtered and batched scans
+// return for a fixed corpus, seed and efs set, per scan position. The
+// paper position (heap = n, unrolled) was recorded at the commit before
 // am.Index.Scan replaced Search, SearchFiltered and MultiSearch, by
-// running this test against those entry points; they are the
-// cross-commit byte-identity proof. The two digests are equal: the same
-// seed builds the same graph in either layout, so the layouts answer
-// with identical (TID, Dist) lists. Re-record only for a deliberate
-// format or arithmetic change, and say so in CHANGES.md.
+// running this test against those entry points; it is the cross-commit
+// byte-identity proof. The served position is heap = k under each kernel
+// a host may default to (avx2 is checked only where it registers),
+// recorded when the session defaults moved there; HNSW reads no heap
+// knob, so under unrolled it equals the paper digest. The two layouts'
+// digests are equal: the same seed builds the same graph in either, so
+// they answer with identical (TID, Dist) lists. Re-record only for a
+// deliberate format or arithmetic change, and say so in CHANGES.md.
 var golden = map[string]struct {
 	size   int64
-	digest uint64
+	digest map[string]uint64 // "heap/kernel" → digest
 }{
-	"false": {16695296, 0x9aacdb63b1a2af95},
-	"true":  {1163264, 0x9aacdb63b1a2af95},
+	"false": {16695296, map[string]uint64{"n/unrolled": 0x9aacdb63b1a2af95, "k/unrolled": 0x9aacdb63b1a2af95, "k/avx2": 0x790385ee14274412}},
+	"true":  {1163264, map[string]uint64{"n/unrolled": 0x9aacdb63b1a2af95, "k/unrolled": 0x9aacdb63b1a2af95, "k/avx2": 0x790385ee14274412}},
 }
 
 func TestGoldenDigest(t *testing.T) {
@@ -43,23 +50,31 @@ func TestGoldenDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := fnv.New64a()
-		for _, efs := range []int{16, 200} {
-			opts := am.DefaultScanOpts()
-			opts.EFS = efs
-			for _, q := range batch {
-				testutil.DigestResults(h, testutil.MustScan(t, ix, []am.Query{{Vec: q.Vec, K: q.K}}, opts)[0])
-				if q.Pred != nil {
-					testutil.DigestResults(h, testutil.MustScan(t, ix, []am.Query{q}, opts)[0])
+		want := golden[packed]
+		if size != want.size {
+			t.Errorf("packed=%s: %d bytes, recorded %d", packed, size, want.size)
+		}
+		for position, recorded := range want.digest {
+			heapMode, kernel, _ := strings.Cut(position, "/")
+			if !slices.Contains(vec.RegisteredKernelNames(), kernel) {
+				continue
+			}
+			h := fnv.New64a()
+			for _, efs := range []string{"16", "200"} {
+				opts := testutil.PaperScanOpts(t, map[string]string{"heap": heapMode, "distance_kernel": kernel, "efs": efs})
+				for _, q := range batch {
+					testutil.DigestResults(h, testutil.MustScan(t, ix, []am.Query{{Vec: q.Vec, K: q.K}}, opts)[0])
+					if q.Pred != nil {
+						testutil.DigestResults(h, testutil.MustScan(t, ix, []am.Query{q}, opts)[0])
+					}
+				}
+				for _, rows := range testutil.MustScan(t, ix, batch, opts) {
+					testutil.DigestResults(h, rows)
 				}
 			}
-			for _, rows := range testutil.MustScan(t, ix, batch, opts) {
-				testutil.DigestResults(h, rows)
+			if got := h.Sum64(); got != recorded {
+				t.Errorf("packed=%s %s: %#x, recorded %#x", packed, position, got, recorded)
 			}
-		}
-		want := golden[packed]
-		if got := h.Sum64(); size != want.size || got != want.digest {
-			t.Errorf("packed=%s: {%d, %#x}, recorded {%d, %#x}", packed, size, got, want.size, want.digest)
 		}
 	}
 }

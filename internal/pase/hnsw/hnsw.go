@@ -15,6 +15,7 @@ import (
 	"vecstudy/internal/pg/buffer"
 	"vecstudy/internal/pg/heap"
 	"vecstudy/internal/pg/page"
+	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -47,6 +48,13 @@ type Index struct {
 	tids  map[heap.TID]VID
 	tombs map[uint64]VID
 	dead  atomic.Int64 // tombstoned vertices awaiting Maintain
+
+	// The prof regions of the traversal loop, resolved once at Build
+	// (ctx.Prof never changes afterwards; all nil when profiling is off):
+	// a by-name lookup per distance and per adjacency read — a mutex and a
+	// map when profiling is on — would charge Fig 8's breakdown for its
+	// own bookkeeping.
+	tDist, tNb, tVisit, tTuple *prof.Timer
 }
 
 var _ am.Index = (*Index)(nil)
@@ -59,7 +67,9 @@ func (ix *Index) Stats() BuildStats { return ix.stats }
 
 // Build constructs the graph by inserting every table row in TID order.
 // Options: bnn (base neighbor count, default 16), efb (construction
-// queue length, default 40), seed.
+// queue length, default 40), seed, packed (default true: one adjacency
+// blob per vertex on shared pages, the paper's Sec IX-C fix; packed =
+// false is the paper's page-per-adjacency-list layout, RC#4).
 func Build(ctx *am.BuildContext) (am.Index, error) {
 	bnn, err := pase.OptInt(ctx.Opts, "bnn", 16)
 	if err != nil {
@@ -79,7 +89,7 @@ func Build(ctx *am.BuildContext) (am.Index, error) {
 	if efb < 1 {
 		return nil, errors.New("pase/hnsw: efb must be >= 1")
 	}
-	packed, err := pase.OptBool(ctx.Opts, "packed", false)
+	packed, err := pase.OptBool(ctx.Opts, "packed", true)
 	if err != nil {
 		return nil, err
 	}
@@ -90,6 +100,10 @@ func Build(ctx *am.BuildContext) (am.Index, error) {
 		rng:       rand.New(rand.NewSource(int64(seed))),
 		tids:      make(map[heap.TID]VID),
 		tombs:     make(map[uint64]VID),
+		tDist:     ctx.Prof.Timer("fvec_L2sqr"),
+		tNb:       ctx.Prof.Timer("pasepfirst"),
+		tVisit:    ctx.Prof.Timer("HVTGet"),
+		tTuple:    ctx.Prof.Timer("tuple_access"),
 	}
 	ix.meta = meta{
 		Dim: uint32(ctx.Dim), BNN: uint32(bnn), EFB: uint32(efb),
@@ -559,22 +573,21 @@ func (ix *Index) vectorCopy(v VID) ([]float32, error) {
 // withVector pins the vertex's data page and exposes its vector in place
 // — the PASE "tuple access" path, timed as such.
 func (ix *Index) withVector(v VID, fn func([]float32)) error {
-	pr := ix.ctx.Prof
-	ts := pr.Timer("tuple_access").Start()
+	ts := ix.tTuple.Start()
 	buf, err := ix.ctx.Pool.Pin(ix.ctx.Rel, v.DataBlk)
 	if err != nil {
-		pr.Timer("tuple_access").Stop(ts)
+		ix.tTuple.Stop(ts)
 		return err
 	}
 	item, err := buf.Page().Item(v.DataOff)
 	if err != nil {
-		pr.Timer("tuple_access").Stop(ts)
+		ix.tTuple.Stop(ts)
 		buf.Release()
 		return err
 	}
 	_, _, _, _, vecBytes := decodeDataEntry(item)
 	view := pase.Float32View(vecBytes)
-	pr.Timer("tuple_access").Stop(ts)
+	ix.tTuple.Stop(ts)
 	fn(view)
 	buf.Release()
 	return nil
@@ -583,18 +596,17 @@ func (ix *Index) withVector(v VID, fn func([]float32)) error {
 // tidOf returns the heap TID stored with a vertex.
 func (ix *Index) tidOf(v VID) (heap.TID, error) {
 	var tid heap.TID
-	pr := ix.ctx.Prof
-	ts := pr.Timer("tuple_access").Start()
+	ts := ix.tTuple.Start()
 	buf, err := ix.ctx.Pool.Pin(ix.ctx.Rel, v.DataBlk)
 	if err != nil {
-		pr.Timer("tuple_access").Stop(ts)
+		ix.tTuple.Stop(ts)
 		return tid, err
 	}
 	item, err := buf.Page().Item(v.DataOff)
 	if err == nil {
 		tid, _, _, _, _ = decodeDataEntry(item)
 	}
-	pr.Timer("tuple_access").Stop(ts)
+	ix.tTuple.Stop(ts)
 	buf.Release()
 	return tid, err
 }
@@ -608,12 +620,11 @@ var refKern = vec.Ref()
 // distTo computes the distance between query and the vertex's vector,
 // through the buffer pool (tuple access + fvec_L2sqr, as Fig 8 splits).
 func (ix *Index) distTo(kern vec.Kernel, query []float32, v VID) (float32, error) {
-	pr := ix.ctx.Prof
 	var d float32
 	err := ix.withVector(v, func(view []float32) {
-		ts := pr.Timer("fvec_L2sqr").Start()
+		ts := ix.tDist.Start()
 		d = kern.L2Sqr(query, view)
-		pr.Timer("fvec_L2sqr").Stop(ts)
+		ix.tDist.Stop(ts)
 	})
 	return d, err
 }
@@ -624,9 +635,8 @@ func (ix *Index) neighborsAt(v VID, level uint16) ([]VID, error) {
 	if ix.meta.Packed {
 		return ix.packedNeighborsAt(v, level)
 	}
-	pr := ix.ctx.Prof
-	ts := pr.Timer("pasepfirst").Start()
-	defer pr.Timer("pasepfirst").Stop(ts)
+	ts := ix.tNb.Start()
+	defer ix.tNb.Stop(ts)
 	var out []VID
 	blk := v.NbBlk
 	for blk != pase.InvalidBlk {
@@ -686,9 +696,6 @@ func (ix *Index) greedyClosest(kern vec.Kernel, query []float32, ep VID, epDist 
 // the result heap — in-traversal filtered kNN, the way filtered HNSW
 // variants gate the result set.
 func (ix *Index) searchLayer(kern vec.Kernel, query []float32, ep VID, epDist float32, ef int, level uint16, pred am.Predicate) ([]scored, error) {
-	pr := ix.ctx.Prof
-	tVisit := pr.Timer("HVTGet")
-
 	visited := make(map[uint64]struct{}, 4*ef)
 	visited[ep.key()] = struct{}{}
 
@@ -736,12 +743,12 @@ func (ix *Index) searchLayer(kern vec.Kernel, query []float32, ep VID, epDist fl
 			return nil, err
 		}
 		for _, nb := range nbs {
-			ts := tVisit.Start()
+			ts := ix.tVisit.Start()
 			_, seen := visited[nb.key()]
 			if !seen {
 				visited[nb.key()] = struct{}{}
 			}
-			tVisit.Stop(ts)
+			ix.tVisit.Stop(ts)
 			if seen {
 				continue
 			}

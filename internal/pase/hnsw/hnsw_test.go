@@ -2,6 +2,7 @@ package hnsw
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"vecstudy/internal/pg/am"
@@ -92,12 +93,22 @@ func TestPagedAndPackedAnswerIdentically(t *testing.T) {
 	}
 }
 
+// maintainDigest is the FNV-1a digest of the scans TestDeleteMaintain
+// takes of the repaired graph — the elected entry point and every scan
+// at heap = n, unrolled, efs = 10 — the same in both layouts, like the
+// golden digests. The entry point is among the
+// deleted rows and several survivors share the top level, so the digest
+// holds only because electEntry breaks the tie by position, not by map
+// iteration order.
+const maintainDigest uint64 = 0xb3b1d84583183f1b
+
 // TestDeleteMaintain walks the mutation life cycle: Delete hides an
 // entry at once (it is still traversed), Maintain repairs the graph
-// around the tombstones and unlinks them, and the repaired graph's
-// recall stays within a band of a fresh rebuild over the survivors.
-// (Only a band: repair reconnects through one-hop neighbors, a rebuild
-// re-runs insertion, and the elected entry point may differ.)
+// around the tombstones, elects a new entry point and unlinks them. The
+// repaired graph is byte-stable — every run answers with the recorded
+// (TID, Dist) lists — and its recall stays within a band of a fresh
+// rebuild over the survivors (only a band: repair reconnects through
+// one-hop neighbors, a rebuild re-runs insertion).
 func TestDeleteMaintain(t *testing.T) {
 	for _, packed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("packed=%v", packed), func(t *testing.T) {
@@ -105,7 +116,11 @@ func TestDeleteMaintain(t *testing.T) {
 			ix := buildHNSW(t, fx, packed)
 			qs := testutil.Queries(8, 20)
 
-			live := func(row int) bool { return row%3 == 0 }
+			entryTID, err := ix.tidOf(ix.meta.Entry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := func(row int) bool { return row%3 == 0 && row != fx.Row[entryTID] }
 			var deleted int64
 			for row, tid := range fx.TIDs {
 				if live(row) {
@@ -135,6 +150,31 @@ func TestDeleteMaintain(t *testing.T) {
 			}
 			if removed != deleted || ix.DeadCount() != 0 {
 				t.Fatalf("Maintain removed %d (DeadCount now %d), want %d and 0", removed, ix.DeadCount(), deleted)
+			}
+			topLevel := 0
+			for _, v := range ix.tids {
+				if _, level, _, err := ix.entryState(v); err != nil {
+					t.Fatal(err)
+				} else if int32(level) == ix.meta.MaxLevel {
+					topLevel++
+				}
+			}
+			if topLevel < 2 {
+				t.Fatalf("%d survivors at the top level: the fixture no longer makes the election a tie", topLevel)
+			}
+			h := fnv.New64a()
+			elected, err := ix.tidOf(ix.meta.Entry)
+			if err != nil {
+				t.Fatal(err)
+			}
+			testutil.DigestResults(h, []am.Result{{TID: elected}})
+			// efs = k: a beam this narrow ends where its entry point sends it.
+			opts := testutil.PaperScanOpts(t, map[string]string{"efs": "10"})
+			for _, q := range qs {
+				testutil.DigestResults(h, testutil.MustScan(t, ix, []am.Query{{Vec: q, K: 10}}, opts)[0])
+			}
+			if got := h.Sum64(); got != maintainDigest {
+				t.Errorf("repaired graph digest %#x, recorded %#x", got, maintainDigest)
 			}
 			repaired := recallAt10(t, fx, ix, qs, live)
 

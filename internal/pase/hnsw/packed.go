@@ -95,9 +95,8 @@ func (ix *Index) withBlob(v VID, fn func(blob []byte) (bool, error)) error {
 
 // packedNeighborsAt reads the used slots of one level from the blob.
 func (ix *Index) packedNeighborsAt(v VID, level uint16) ([]VID, error) {
-	pr := ix.ctx.Prof
-	ts := pr.Timer("pasepfirst").Start()
-	defer pr.Timer("pasepfirst").Stop(ts)
+	ts := ix.tNb.Start()
+	defer ix.tNb.Stop(ts)
 	var out []VID
 	err := ix.withBlob(v, func(blob []byte) (bool, error) {
 		for i := 0; i+neighborTupleSize <= len(blob); i += neighborTupleSize {

@@ -16,7 +16,7 @@ type scanOpts struct {
 	nprobe  int  // clamped to [1, nlist]
 	threads int  // > 1 selects the RC#3 shared-heap scan
 	beta    int  // re-rank over-fetch factor; 0 when the codec does not re-rank
-	heapK   bool // RC#6 ablation: bounded size-k heap instead of the size-n collector
+	heapK   bool // bounded size-k heap; false is RC#6's size-n collector
 	kern    vec.Kernel
 }
 
@@ -243,9 +243,9 @@ func (s *scanner) score(entries [][]byte, qs []int, sparse bool) []float32 {
 //
 //   - one query is the paper's solo scan — each probed bucket's chain
 //     walked page at a time in probe-rank order (RC#2), candidates pushed
-//     straight into a size-n collector (RC#6) unless heap = k, or, with
-//     threads > 1, buckets spread over workers that share one lock-guarded
-//     heap (RC#3), as the paper describes PASE doing;
+//     straight into a size-k heap (under heap = n, a size-n collector —
+//     RC#6) or, with threads > 1, buckets spread over workers that share
+//     one lock-guarded heap (RC#3), as the paper describes PASE doing;
 //   - several queries are one multi-query probe (scanBatch), unless
 //     threads > 1: the shared-heap path owns the worker pool, so such a
 //     batch is answered query by query.

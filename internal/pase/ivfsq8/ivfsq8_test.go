@@ -1,85 +1,19 @@
 package ivfsq8
 
 import (
-	"math/rand"
-	"sort"
 	"testing"
 
 	"vecstudy/internal/pg/am"
-	"vecstudy/internal/pg/buffer"
-	"vecstudy/internal/pg/heap"
-	"vecstudy/internal/pg/storage"
-	"vecstudy/internal/vec"
+	"vecstudy/internal/testutil"
 
 	flat "vecstudy/internal/pase/ivfflat"
 )
 
-const (
-	testDim   = 32
-	testN     = 400
-	tableRel  = 1
-	indexRel  = 2
-	secondRel = 3
-)
+var withOpts = map[string]string{"clusters": "10", "sample_ratio": "1", "seed": "1"}
 
-var testSchema = heap.Schema{Cols: []heap.Column{
-	{Name: "id", Type: heap.Int4},
-	{Name: "vec", Type: heap.Float4Array},
-}}
-
-type fixture struct {
-	pool *buffer.Pool
-	tbl  *heap.Table
-	vecs [][]float32
-	tids []heap.TID
-}
-
-func newFixture(t *testing.T) *fixture {
+func newFixture(t *testing.T) *testutil.AMFixture {
 	t.Helper()
-	pool, err := buffer.NewPool(4096, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rel := range []buffer.RelID{tableRel, indexRel, secondRel} {
-		if err := pool.Register(rel, storage.NewMemStore(4096)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tbl, err := heap.New(pool, tableRel, testSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	fx := &fixture{pool: pool, tbl: tbl}
-	for i := 0; i < testN; i++ {
-		v := make([]float32, testDim)
-		for j := range v {
-			v[j] = float32(rng.NormFloat64()) * 10
-		}
-		tid, err := tbl.Insert([]any{int32(i), v})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fx.vecs = append(fx.vecs, v)
-		fx.tids = append(fx.tids, tid)
-	}
-	return fx
-}
-
-func (fx *fixture) ctx(rel buffer.RelID) *am.BuildContext {
-	return &am.BuildContext{
-		Pool: fx.pool, Rel: rel, Table: fx.tbl, VecCol: 1, Dim: testDim,
-		Opts: map[string]string{"clusters": "10", "sample_ratio": "1", "seed": "1"},
-	}
-}
-
-func (fx *fixture) build(t *testing.T) *Index {
-	t.Helper()
-	ix, err := Build(fx.ctx(indexRel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ix.(*Index)
+	return testutil.NewAMFixture(t, 400, 4096, 512)
 }
 
 // exhaustive are the scan options that make the 10-cluster index exact.
@@ -89,60 +23,19 @@ func exhaustive() *am.ScanOpts {
 	return opts
 }
 
-// search answers one query.
-func search(t *testing.T, ix *Index, q []float32, k int, opts *am.ScanOpts) []am.Result {
-	t.Helper()
-	out, err := ix.Scan([]am.Query{{Vec: q, K: k}}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out[0]
-}
-
-// exactTopK is the brute-force oracle on the ref kernel.
-func (fx *fixture) exactTopK(query []float32, k int) []heap.TID {
-	ref := vec.Ref()
-	type cand struct {
-		i int
-		d float32
-	}
-	cands := make([]cand, len(fx.vecs))
-	for i, v := range fx.vecs {
-		cands[i] = cand{i, ref.L2Sqr(query, v)}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].d != cands[b].d {
-			return cands[a].d < cands[b].d
-		}
-		return a < b
-	})
-	out := make([]heap.TID, k)
-	for i := 0; i < k; i++ {
-		out[i] = fx.tids[cands[i].i]
-	}
-	return out
-}
-
-func queryVec(seed int64) []float32 {
-	rng := rand.New(rand.NewSource(seed))
-	q := make([]float32, testDim)
-	for j := range q {
-		q[j] = float32(rng.NormFloat64()) * 10
-	}
-	return q
-}
+func queryVec(seed int64) []float32 { return testutil.Queries(seed, 1)[0] }
 
 // TestSearchMatchesExactAfterRerank: with exhaustive probes, the
 // re-ranked results equal the full-precision brute-force top-k — the
 // quantized phase only pre-selects; final distances are exact.
 func TestSearchMatchesExactAfterRerank(t *testing.T) {
 	fx := newFixture(t)
-	ix := fx.build(t)
+	ix := fx.Build(t, "ivfsq8", withOpts)
 	const k = 10
 	for seed := int64(100); seed < 110; seed++ {
 		q := queryVec(seed)
-		got := search(t, ix, q, k, exhaustive())
-		want := fx.exactTopK(q, k)
+		got := testutil.MustScan(t, ix, []am.Query{{Vec: q, K: k}}, exhaustive())[0]
+		want := fx.BruteTopK(q, k, nil)
 		if len(got) != k {
 			t.Fatalf("seed %d: got %d results, want %d", seed, len(got), k)
 		}
@@ -162,8 +55,8 @@ func TestSearchMatchesExactAfterRerank(t *testing.T) {
 // the -exp sq8 experiment at dataset scale.
 func TestIndexSmallerThanIvfflat(t *testing.T) {
 	fx := newFixture(t)
-	sq8 := fx.build(t)
-	flatIx, err := flat.Build(fx.ctx(secondRel))
+	sq8 := fx.Build(t, "ivfsq8", withOpts)
+	flatIx, err := flat.Build(fx.Ctx(t, withOpts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +78,10 @@ func TestIndexSmallerThanIvfflat(t *testing.T) {
 // true neighbors inside the top k on this easy data).
 func TestRerankBetaClamp(t *testing.T) {
 	fx := newFixture(t)
-	ix := fx.build(t)
+	ix := fx.Build(t, "ivfsq8", withOpts)
 	opts := exhaustive()
 	opts.Rerank = 1
-	got := search(t, ix, queryVec(500), 10, opts)
+	got := testutil.MustScan(t, ix, []am.Query{{Vec: queryVec(500), K: 10}}, opts)[0]
 	if len(got) != 10 {
 		t.Fatalf("beta=1: got %d rows, want 10", len(got))
 	}

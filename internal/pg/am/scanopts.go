@@ -17,15 +17,17 @@ type ScanOpts struct {
 	EFS     int        // efs — hnsw: search queue length; a scan raises it to k
 	Threads int        // threads — > 1 selects the RC#3 shared-heap parallel bucket scan
 	Rerank  int        // sq8_rerank — ivfsq8: k·β quantized candidates are re-ranked at full precision
-	HeapK   bool       // heap = k — RC#6 ablation: size-k heap instead of PASE's size-n collector
+	HeapK   bool       // heap = k — bounded size-k heap; heap = n is PASE's size-n collector (RC#6)
 	Kernel  vec.Kernel // distance_kernel — scores every search-path candidate
 }
 
 // DefaultScanOpts returns the options of a fresh session. It is the one
 // place the scan defaults are written: SHOW ALL prints from it and a nil
-// *ScanOpts means it.
+// *ScanOpts means it. A session is served on the fast side of the
+// paper's findings — the size-k heap and the best kernel the host has;
+// SET heap = n and SET distance_kernel reach the paper's positions.
 func DefaultScanOpts() *ScanOpts {
-	return &ScanOpts{NProbe: 20, EFS: 200, Threads: 1, Rerank: 4, HeapK: false, Kernel: vec.Default()}
+	return &ScanOpts{NProbe: 20, EFS: 200, Threads: 1, Rerank: 4, HeapK: true, Kernel: vec.Default()}
 }
 
 // Set parses value into the field the knob name stands for — the one

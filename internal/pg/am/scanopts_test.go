@@ -12,15 +12,20 @@ import (
 // shape and leaves the options untouched, and a name that is not a scan
 // knob is reported unknown rather than failed.
 func TestScanOptsParser(t *testing.T) {
+	// A fresh session is served on the fast side of RC#6 and RC#1/RC#5:
+	// the size-k heap and the best kernel the host registered.
 	want := map[string]string{
-		"nprobe": "20", "efs": "200", "threads": "1", "sq8_rerank": "4", "heap": "n",
-		"distance_kernel": vec.DefaultKernelName,
+		"nprobe": "20", "efs": "200", "threads": "1", "sq8_rerank": "4", "heap": "k",
+		"distance_kernel": vec.RegisteredKernelNames()[0],
 	}
 	o := DefaultScanOpts()
 	for name, def := range want {
 		if got, known := o.Get(name); !known || got != def {
 			t.Errorf("default %s = (%q, %v), want %q", name, got, known, def)
 		}
+	}
+	if known, err := o.Set("heap", "n"); !known || err != nil || o.HeapK {
+		t.Fatalf("Set(heap, n) = (%v, %v), HeapK = %v: the paper position must stay reachable", known, err, o.HeapK)
 	}
 	for _, tc := range []struct{ name, value string }{
 		{"nprobe", "7"}, {"efs", "64"}, {"threads", "4"}, {"sq8_rerank", "64"}, {"heap", "k"}, {"distance_kernel", "ref"},

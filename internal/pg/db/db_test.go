@@ -191,13 +191,15 @@ func TestPgvectorBaselineRecall(t *testing.T) {
 
 func TestHNSWSizeBlowupAndPageSize(t *testing.T) {
 	// RC#4: the PASE HNSW relation should dwarf the raw vector payload,
-	// and halving the page size should roughly halve it (Table IV).
+	// and halving the page size should roughly halve it (Table IV) — a
+	// statement about the page-per-adjacency-list layout, so packed =
+	// false is named: CREATE INDEX defaults to the packed one.
 	ds := testutil.SmallDataset(t)
 	sizes := map[int]int64{}
 	for _, ps := range []int{8192, 4096} {
 		d := loadSmall(t, Config{PageSize: ps})
 		idx, err := d.CreateIndex("hnsw_idx", "t", "vec", "hnsw",
-			map[string]string{"bnn": "16", "efb": "40", "seed": "6"})
+			map[string]string{"bnn": "16", "efb": "40", "seed": "6", "packed": "false"})
 		if err != nil {
 			t.Fatal(err)
 		}

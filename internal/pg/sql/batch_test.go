@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"vecstudy/internal/vec"
+	"vecstudy/internal/pg/am"
 )
 
 func TestBatchSettingsValidation(t *testing.T) {
@@ -120,23 +120,34 @@ func TestGroupKeyReflectsEffectiveSettings(t *testing.T) {
 		return q.GroupKey()
 	}
 	base := key(d)
-	for _, knob := range []struct{ name, def, other string }{
-		{"nprobe", "20", "7"},
-		{"efs", "200", "64"},
-		{"threads", "1", "2"},
-		{"sq8_rerank", "4", "2"},
+	// The defaults come from am.DefaultScanOpts(), the one place they are
+	// written; other is whichever candidate is not the default.
+	defaults := am.DefaultScanOpts()
+	for _, knob := range []struct{ name, a, b string }{
+		{"nprobe", "7", "20"},
+		{"efs", "64", "200"},
+		{"threads", "2", "1"},
+		{"sq8_rerank", "2", "4"},
 		{"heap", "n", "k"},
-		{DistanceKernelSetting, vec.DefaultKernelName, "ref"},
-		{FilterStrategySetting, "auto", "post"},
+		{DistanceKernelSetting, "ref", "unrolled"},
+		{FilterStrategySetting, "post", "auto"},
 	} {
-		mustExec(t, d, "SET "+knob.name+" = "+knob.def) // explicit default
+		def, isScanKnob := defaults.Get(knob.name)
+		if !isScanKnob {
+			def = "auto" // filter_strategy, the one session-level knob in the key
+		}
+		other := knob.a
+		if other == def {
+			other = knob.b
+		}
+		mustExec(t, d, "SET "+knob.name+" = "+def) // explicit default
 		if k := key(d); k != base {
 			t.Errorf("explicit default %s changed the group key:\n%s\nvs\n%s", knob.name, base, k)
 		}
-		mustExec(t, d, "SET "+knob.name+" = "+knob.other)
+		mustExec(t, d, "SET "+knob.name+" = "+other)
 		if k := key(d); k == base {
-			t.Errorf("%s = %s kept the default group key", knob.name, knob.other)
+			t.Errorf("%s = %s kept the default group key", knob.name, other)
 		}
-		mustExec(t, d, "SET "+knob.name+" = "+knob.def)
+		mustExec(t, d, "SET "+knob.name+" = "+def)
 	}
 }

@@ -27,8 +27,9 @@ const VacuumThresholdSetting = "vacuum_threshold"
 
 // DistanceKernelSetting selects the distance kernel search paths score
 // candidates with: ref (bit-exact scalar baseline), unrolled
-// (cache-blocked generic Go, the default), or avx2 (assembly, amd64
-// hosts with the ISA; silently falls back to the default elsewhere).
+// (cache-blocked generic Go), or avx2 (assembly, amd64 hosts with the
+// ISA; silently falls back to the default elsewhere). The default is the
+// fastest of them the host registered.
 // Build, insert, and delete arithmetic is pinned to ref regardless —
 // bucket assignment and graph wiring must not depend on a session knob.
 const DistanceKernelSetting = "distance_kernel"

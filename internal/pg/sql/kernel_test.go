@@ -124,7 +124,7 @@ func TestExplainShowsKernel(t *testing.T) {
 		}
 		return b.String()
 	}
-	if p := planText(); !strings.Contains(p, "Kernel: "+vec.DefaultKernelName) {
+	if p := planText(); !strings.Contains(p, "Kernel: "+vec.Default().Name()) {
 		t.Errorf("default plan missing kernel line:\n%s", p)
 	}
 	mustExec(t, s, "SET distance_kernel = ref")

@@ -10,11 +10,15 @@
 //     (blas.L2SqrNT/L2SqrNTRows) are proven bit-equal to that chain per
 //     pair. It is the parity oracle for tests and the fixed kernel for
 //     paths that must be session-independent (bucket assignment).
-//   - "unrolled": cache-blocked 8-way unrolled generic Go, the default.
-//     Eight independent accumulator chains hide FP add latency.
+//   - "unrolled": cache-blocked 8-way unrolled generic Go. Eight
+//     independent accumulator chains hide FP add latency.
 //   - "avx2": Go assembly under an amd64 build tag with a runtime CPUID
 //     feature check (see kernel_avx2_amd64.go); on other platforms or
 //     older CPUs the name resolves to the default kernel.
+//
+// The default — what a session starts on and what Default returns — is
+// the best kernel the host registered: avx2 where the probe passes,
+// unrolled elsewhere (kernelPreference).
 //
 // The parity contract is per kernel, not across kernels: for any
 // kernel K, K's batched forms (L2SqrBatch, L2SqrNT, L2SqrNTRows) are
@@ -31,7 +35,7 @@ package vec
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"vecstudy/internal/blas"
@@ -77,26 +81,28 @@ type Kernel interface {
 	DotSQ8Batch(w []float32, codes [][]byte, out []float32)
 }
 
-// DefaultKernelName is the kernel a session starts with.
-const DefaultKernelName = "unrolled"
-
 var (
 	kernelMu sync.RWMutex
 	kernels  = make(map[string]Kernel)
 )
 
-// knownKernelNames are the names SET distance_kernel accepts on every
-// host, whether or not the host registers them: a session script
-// recorded on an AVX2 machine must replay on one without it.
-var knownKernelNames = []string{"avx2", "ref", "unrolled"}
+// kernelPreference lists every kernel name, fastest first. These are the
+// names SET distance_kernel accepts on every host, whether or not the
+// host registers them (a session script recorded on an AVX2 machine must
+// replay on one without it), and the first one registered is the default.
+var kernelPreference = []string{"avx2", "unrolled", "ref"}
 
-// RegisterKernel installs a kernel implementation. It panics on
-// duplicate registration (a programming error).
+// RegisterKernel installs a kernel implementation. It panics on a
+// duplicate registration or a name missing from kernelPreference (both
+// programming errors).
 func RegisterKernel(k Kernel) {
 	kernelMu.Lock()
 	defer kernelMu.Unlock()
 	if _, dup := kernels[k.Name()]; dup {
 		panic(fmt.Sprintf("vec: duplicate kernel %q", k.Name()))
+	}
+	if !slices.Contains(kernelPreference, k.Name()) {
+		panic(fmt.Sprintf("vec: kernel %q has no rank in kernelPreference", k.Name()))
 	}
 	kernels[k.Name()] = k
 }
@@ -109,21 +115,22 @@ func init() {
 // KnownKernelNames returns every name ForName resolves without error,
 // sorted — including names that fall back on this host.
 func KnownKernelNames() []string {
-	out := make([]string, len(knownKernelNames))
-	copy(out, knownKernelNames)
+	out := slices.Clone(kernelPreference)
+	slices.Sort(out)
 	return out
 }
 
 // RegisteredKernelNames returns the kernels actually available on this
-// host, sorted.
+// host, fastest first: the first name is the default kernel's.
 func RegisteredKernelNames() []string {
 	kernelMu.RLock()
 	defer kernelMu.RUnlock()
 	out := make([]string, 0, len(kernels))
-	for n := range kernels {
-		out = append(out, n)
+	for _, n := range kernelPreference {
+		if _, ok := kernels[n]; ok {
+			out = append(out, n)
+		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -133,24 +140,20 @@ func RegisteredKernelNames() []string {
 // replay works across heterogeneous cluster nodes; the returned
 // kernel's Name() reports what actually runs (EXPLAIN shows it).
 func ForName(name string) (Kernel, error) {
-	if name == "" {
-		name = DefaultKernelName
+	if name != "" && !slices.Contains(kernelPreference, name) {
+		return nil, fmt.Errorf("vec: unknown distance kernel %q (have %v)", name, KnownKernelNames())
 	}
 	kernelMu.RLock()
-	k, ok := kernels[name]
-	if !ok {
-		k = kernels[DefaultKernelName]
-	}
-	kernelMu.RUnlock()
-	if ok {
+	defer kernelMu.RUnlock()
+	if k, ok := kernels[name]; ok {
 		return k, nil
 	}
-	for _, known := range knownKernelNames {
-		if name == known {
+	for _, n := range kernelPreference {
+		if k, ok := kernels[n]; ok {
 			return k, nil
 		}
 	}
-	return nil, fmt.Errorf("vec: unknown distance kernel %q (have %v)", name, KnownKernelNames())
+	panic("vec: no kernel registered") // init registers ref and unrolled
 }
 
 // Ref returns the reference kernel — the fixed, session-independent
@@ -163,7 +166,8 @@ func Ref() Kernel {
 	return kernels["ref"]
 }
 
-// Default returns the default kernel.
+// Default returns the default kernel: the fastest one this host
+// registered.
 func Default() Kernel {
 	k, _ := ForName("")
 	return k
@@ -266,7 +270,7 @@ func (refKernel) DotSQ8Batch(w []float32, codes [][]byte, out []float32) {
 	}
 }
 
-// unrolledKernel is the default generic-Go kernel: 8-way unrolled with
+// unrolledKernel is the generic-Go kernel: 8-way unrolled with
 // eight independent accumulator chains, reduced pairwise at the end.
 // Its batched forms call the solo form per pair inside an 8-row cache
 // block (each B row stays hot across the block), which makes solo/batch

@@ -10,15 +10,24 @@ package vec
 // falls back to the default kernel (vec.ForName documents this).
 //
 // Parity: the scalar tail is added sequentially after the vector body,
-// so the summation order is a pure function of the vector length —
-// batched forms call the solo form per pair and are bit-identical to
-// it. Denormals are handled by hardware IEEE semantics (Go does not
-// set DAZ/FTZ in MXCSR), so no flush-to-zero divergence from the
-// scalar kernels.
+// so the summation order is a pure function of the vector length. The
+// row-batch forms (L2SqrBatch, L2SqrNTRows) run one assembly call per
+// group of rows whose per-pair body repeats the solo routine instruction
+// for instruction, and share the solo form's tail; L2SqrNT calls the
+// solo form per pair. Either way a batched distance is bit-identical to
+// the solo one. Denormals are handled by hardware IEEE semantics (Go
+// does not set DAZ/FTZ in MXCSR), so no flush-to-zero divergence from
+// the scalar kernels.
 
 // l2sqrAVX2 sums ‖x−y‖² over the first n elements; n must be a
 // positive multiple of 8. Implemented in kernel_avx2_amd64.s.
 func l2sqrAVX2(x, y *float32, n int) float32
+
+// l2sqrBatchAVX2 writes the l2sqrAVX2 distance of q to every row into
+// out[i*stride], with one VZEROUPPER for the whole batch; d must be a
+// positive multiple of 8 and every row must hold ≥ d floats.
+// Implemented in kernel_avx2_amd64.s.
+func l2sqrBatchAVX2(q *float32, rows [][]float32, d int, out *float32, stride int)
 
 // l2sqrSQ8AVX2 sums the asymmetric ‖q − (mn + st·code)‖² over the first
 // n elements, decoding the uint8 codes in-register; n must be a
@@ -74,10 +83,8 @@ func init() {
 	}
 }
 
-// avx2Kernel dispatches the assembly body with a sequential scalar
-// tail. Batched forms reuse the solo form inside 8-row cache blocks,
-// exactly like unrolledKernel, so solo/batch bit-parity holds by
-// construction.
+// avx2Kernel dispatches the assembly bodies with a sequential scalar
+// tail.
 type avx2Kernel struct{}
 
 // Name implements Kernel.
@@ -92,18 +99,51 @@ func (avx2Kernel) L2Sqr(x, y []float32) float32 {
 	if n8 > 0 {
 		s = l2sqrAVX2(&x[0], &y[0], n8)
 	}
-	for i := n8; i < n; i++ {
+	return l2sqrTail(s, x, y, n8)
+}
+
+// l2sqrTail adds the elements from index from on to s, one at a time:
+// the one scalar tail behind both the solo and the row-batch form, so
+// the two cannot round apart.
+func l2sqrTail(s float32, x, y []float32, from int) float32 {
+	for i := from; i < len(x); i++ {
 		d := x[i] - y[i]
 		s += d * d
 	}
 	return s
 }
 
-// L2SqrBatch implements Kernel.
-func (k avx2Kernel) L2SqrBatch(q []float32, rows [][]float32, out []float32) {
-	for i, r := range rows {
-		out[i] = k.L2Sqr(q, r)
+// l2sqrRows writes ‖q − rows[i]‖² into out[i*stride] for every row: one
+// assembly call over the 8-aligned prefix of every row, then the scalar
+// tail per row. A row shorter than q panics, like the solo form's
+// y[:len(x)] reslice.
+func l2sqrRows(q []float32, rows [][]float32, out []float32, stride int) {
+	if len(rows) == 0 {
+		return
 	}
+	n := len(q)
+	for _, r := range rows {
+		_ = r[:n]
+	}
+	out = out[:(len(rows)-1)*stride+1]
+	n8 := n &^ 7
+	if n8 == 0 {
+		for i := range rows {
+			out[i*stride] = 0
+		}
+	} else {
+		l2sqrBatchAVX2(&q[0], rows, n8, &out[0], stride)
+	}
+	if n8 < n {
+		for i, r := range rows {
+			out[i*stride] = l2sqrTail(out[i*stride], q, r, n8)
+		}
+	}
+}
+
+// L2SqrBatch implements Kernel.
+func (avx2Kernel) L2SqrBatch(q []float32, rows [][]float32, out []float32) {
+	l2sqrRows(q, rows, out, 1)
 }
 
 // L2SqrNT implements Kernel.
@@ -119,16 +159,24 @@ func (k avx2Kernel) L2SqrNT(a []float32, m, kk int, b []float32, n int, c []floa
 	}
 }
 
-// L2SqrNTRows implements Kernel.
-func (k avx2Kernel) L2SqrNTRows(rows [][]float32, kk int, b []float32, n int, c []float32) {
-	m := len(rows)
-	for i0 := 0; i0 < m; i0 += 8 {
-		i1 := min(i0+8, m)
+// ntRowBlock is how many A rows one L2SqrNTRows assembly call covers
+// when there are several B rows: 16 rows of 128 floats are 8 KiB — one
+// index page — so a block stays in L1 while every B row passes over it.
+const ntRowBlock = 16
+
+// L2SqrNTRows implements Kernel. With one B row — a solo scan scoring a
+// page segment — the whole segment is one assembly call. The body
+// computes b−row where the solo form called from here would compute
+// row−b, which squares to the same bits (the sign-symmetry contract).
+func (avx2Kernel) L2SqrNTRows(rows [][]float32, kk int, b []float32, n int, c []float32) {
+	if n == 1 {
+		l2sqrRows(b[:kk], rows, c, 1)
+		return
+	}
+	for i0 := 0; i0 < len(rows); i0 += ntRowBlock {
+		block := rows[i0:min(i0+ntRowBlock, len(rows))]
 		for j := 0; j < n; j++ {
-			brow := b[j*kk : (j+1)*kk]
-			for i := i0; i < i1; i++ {
-				c[i*n+j] = k.L2Sqr(rows[i][:kk], brow)
-			}
+			l2sqrRows(b[j*kk:(j+1)*kk], block, c[i0*n+j:], n)
 		}
 	}
 }

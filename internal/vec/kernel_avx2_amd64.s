@@ -65,6 +65,88 @@ reduce:
 	MOVSS X0, ret+24(FP)
 	RET
 
+// func l2sqrBatchAVX2(q *float32, rows [][]float32, d int, out *float32, stride int)
+// d must be a positive multiple of 8; every row must hold ≥ d floats
+// (the Go shim enforces both). The per-row body is instruction for
+// instruction the solo l2sqrAVX2 loop with x = q and y = the row, so
+// out[i*stride] is bit-identical to the solo call — the L2SqrBatch /
+// L2SqrNTRows parity contract. Batching amortizes the call overhead (asm
+// entry, Go-side reslices, VZEROUPPER) across a page segment of rows:
+// VZEROUPPER runs once per batch, not once per row.
+TEXT ·l2sqrBatchAVX2(SB), NOSPLIT, $0-56
+	MOVQ q+0(FP), R13
+	MOVQ rows_base+8(FP), R10
+	MOVQ rows_len+16(FP), R11
+	MOVQ d+32(FP), AX
+	MOVQ out+40(FP), R12
+	MOVQ stride+48(FP), BX
+	SHLQ $2, BX // out advances stride float32s per row
+
+l2batchloop:
+	TESTQ R11, R11
+	JE    l2batchdone
+	MOVQ  (R10), DI // rows[i] data pointer (slice header stride 24)
+	MOVQ  R13, SI
+	MOVQ  AX, CX
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+
+l2batch32:
+	CMPQ CX, $32
+	JLT  l2batch8
+	VMOVUPS (SI), Y4
+	VMOVUPS 32(SI), Y5
+	VMOVUPS 64(SI), Y6
+	VMOVUPS 96(SI), Y7
+	VSUBPS  (DI), Y4, Y4
+	VSUBPS  32(DI), Y5, Y5
+	VSUBPS  64(DI), Y6, Y6
+	VSUBPS  96(DI), Y7, Y7
+	VMULPS  Y4, Y4, Y4
+	VMULPS  Y5, Y5, Y5
+	VMULPS  Y6, Y6, Y6
+	VMULPS  Y7, Y7, Y7
+	VADDPS  Y4, Y0, Y0
+	VADDPS  Y5, Y1, Y1
+	VADDPS  Y6, Y2, Y2
+	VADDPS  Y7, Y3, Y3
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $32, CX
+	JMP     l2batch32
+
+l2batch8:
+	CMPQ CX, $8
+	JLT  l2batchreduce
+	VMOVUPS (SI), Y4
+	VSUBPS  (DI), Y4, Y4
+	VMULPS  Y4, Y4, Y4
+	VADDPS  Y4, Y0, Y0
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $8, CX
+	JMP     l2batch8
+
+l2batchreduce:
+	VADDPS Y1, Y0, Y0
+	VADDPS Y3, Y2, Y2
+	VADDPS Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS X1, X0, X0
+	VHADDPS X0, X0, X0
+	VHADDPS X0, X0, X0
+	MOVSS X0, (R12)
+	ADDQ  $24, R10
+	ADDQ  BX, R12
+	DECQ  R11
+	JMP   l2batchloop
+
+l2batchdone:
+	VZEROUPPER
+	RET
+
 // func l2sqrSQ8AVX2(q *float32, code *byte, mn, st *float32, n int) float32
 // n must be a positive multiple of 8. Computes Σ (q_i − (mn_i + st_i·c_i))²
 // with the byte decode done in-register: VPMOVZXBD widens 8 codes to

@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkKernel* is the microbench surface the CI gate
-// (cmd/kernelgate) watches: solo, rows-batch, and NT shapes for every
-// registered kernel. Names are stable — the gate parses
+// (cmd/kernelgate) watches: solo, rows-batch, page-segment (NTRows) and
+// NT shapes for every registered kernel. Names are stable — the gate parses
 // BenchmarkKernelSolo/<kernel>/d=<dim> etc. SetBytes records the
 // traffic of reading both operands, so results print GB/s; the gate
 // compares ratios against the ref kernel measured in the same run,
@@ -57,6 +57,31 @@ func BenchmarkKernelRowsBatch(b *testing.B) {
 				b.SetBytes(int64(2 * 4 * d * rowsN))
 				for i := 0; i < b.N; i++ {
 					k.L2SqrBatch(q, rows, out)
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkKernelNTRows(b *testing.B) {
+	// The flat scan's call: one index page of tuple rows (15 entries of
+	// 128 floats fit an 8 KiB page) against the queries subscribed to the
+	// bucket — one for a solo scan, a few for a coalesced batch.
+	const m, d = 15, 128
+	for _, name := range RegisteredKernelNames() {
+		k, _ := ForName(name)
+		for _, n := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/m=%d,n=%d,d=%d", name, m, n, d), func(b *testing.B) {
+				flat := benchVecs(m, d)
+				rows := make([][]float32, m)
+				for i := range rows {
+					rows[i] = flat[i*d : (i+1)*d]
+				}
+				qs := benchVecs(n, d)
+				c := make([]float32, m*n)
+				b.SetBytes(int64(4 * d * (m + n)))
+				for i := 0; i < b.N; i++ {
+					k.L2SqrNTRows(rows, d, qs, n, c)
 				}
 			})
 		}

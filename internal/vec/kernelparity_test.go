@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -177,15 +178,84 @@ func TestKernelBatchBitParity(t *testing.T) {
 	}
 }
 
+// TestKernelRowBatchEdges covers what the fixed 11×5 matrix above does
+// not reach in the row-batch forms: more rows than one L2SqrNTRows block,
+// the single-query shape a solo scan scores a page with, an empty batch,
+// and a row shorter than the query, which must panic the way the solo
+// form's reslice does instead of reading past the row.
+func TestKernelRowBatchEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for _, d := range []int{1, 7, 8, 13, 32, 37, 128} {
+		const m = 37
+		rows := make([][]float32, m)
+		for i := range rows {
+			rows[i], _ = adversarialVecs(rng, d)
+		}
+		for _, k := range parityKernels(t) {
+			for _, n := range []int{1, 3} {
+				b := make([]float32, n*d)
+				for j := range b {
+					b[j] = float32(rng.NormFloat64())
+				}
+				c := make([]float32, m*n)
+				for i := range c {
+					c[i] = -1
+				}
+				k.L2SqrNTRows(rows, d, b, n, c)
+				for i := 0; i < m; i++ {
+					for j := 0; j < n; j++ {
+						want := k.L2Sqr(rows[i], b[j*d:(j+1)*d])
+						if math.Float32bits(c[i*n+j]) != math.Float32bits(want) {
+							t.Fatalf("%s d=%d n=%d: NTRows[%d,%d]=%x, solo=%x", k.Name(), d, n, i, j,
+								math.Float32bits(c[i*n+j]), math.Float32bits(want))
+						}
+					}
+				}
+			}
+
+			q := rows[0]
+			out := []float32{-1}
+			k.L2SqrBatch(q, nil, out)
+			k.L2SqrNTRows(nil, d, q, 1, out)
+			if out[0] != -1 {
+				t.Errorf("%s d=%d: an empty batch wrote %v", k.Name(), d, out[0])
+			}
+
+			short := [][]float32{rows[1], rows[2][: d-1 : d-1]}
+			out = make([]float32, 2)
+			for form, call := range map[string]func(){
+				"L2SqrBatch":  func() { k.L2SqrBatch(q, short, out) },
+				"L2SqrNTRows": func() { k.L2SqrNTRows(short, d, q, 1, out) },
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s d=%d: %s accepted a row of %d floats", k.Name(), d, form, d-1)
+						}
+					}()
+					call()
+				}()
+			}
+		}
+	}
+}
+
 func TestKernelRegistryResolution(t *testing.T) {
-	if def := Default(); def.Name() != DefaultKernelName {
-		t.Errorf("Default() = %q, want %q", def.Name(), DefaultKernelName)
+	// The default is the first registered kernel in preference order:
+	// avx2 wherever it registered, unrolled elsewhere, never ref.
+	names := RegisteredKernelNames()
+	want := "unrolled"
+	if slices.Contains(names, "avx2") {
+		want = "avx2"
+	}
+	if names[0] != want || Default().Name() != want {
+		t.Errorf("registered %v, Default() = %q: want %q first and default", names, Default().Name(), want)
 	}
 	if ref := Ref(); ref.Name() != "ref" {
 		t.Errorf("Ref() = %q", ref.Name())
 	}
 	k, err := ForName("")
-	if err != nil || k.Name() != DefaultKernelName {
+	if err != nil || k != Default() {
 		t.Errorf("ForName(\"\") = %v, %v", k, err)
 	}
 	// Known names never error, even when unregistered on this host
@@ -197,6 +267,8 @@ func TestKernelRegistryResolution(t *testing.T) {
 		}
 		if k == nil {
 			t.Errorf("ForName(%q) returned nil kernel", name)
+		} else if !slices.Contains(names, name) && k != Default() {
+			t.Errorf("unregistered %q resolved to %q, want the default", name, k.Name())
 		}
 	}
 	if _, err := ForName("sse9"); err == nil {
