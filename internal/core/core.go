@@ -17,7 +17,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"time"
 
@@ -61,11 +60,10 @@ const (
 // it was recorded, and an ablation flips one of them from a stated
 // baseline instead of from whatever a session defaults to.
 const (
-	// PaperKernel scores both engines (Params.Kernel overrides it for
-	// both at once). One kernel on both sides keeps a gap a statement
-	// about the engines (RC#2–RC#7) rather than about the instruction set;
-	// -exp kernels sweeps that axis on its own. Every recorded figure ran
-	// on unrolled, which every host registers.
+	// PaperKernel scores both engines. One kernel on both sides keeps a
+	// gap a statement about the engines (RC#2–RC#7) rather than about the
+	// instruction set; -exp kernels sweeps that axis on its own. Every
+	// recorded figure ran on unrolled, which every host registers.
 	PaperKernel = "unrolled"
 	// paperHeapK is RC#6's position: PASE's size-n candidate collector.
 	paperHeapK = false
@@ -75,6 +73,9 @@ const (
 
 // paperHeap is paperHeapK the way SET heap takes it.
 var paperHeap, _ = (&am.ScanOpts{HeapK: paperHeapK}).Get("heap")
+
+// paperKern is the kernel PaperKernel names.
+var paperKern, _ = vec.ForName(PaperKernel)
 
 // PaperPositions renders the pinned positions for an experiment header.
 func PaperPositions() string {
@@ -128,16 +129,7 @@ type Params struct {
 	// position.
 	Packed bool
 
-	// Kernel names the distance kernel both engines score with; empty
-	// means PaperKernel.
-	Kernel string
-
 	Prof *prof.Profile
-}
-
-// kernel resolves Params.Kernel.
-func (p Params) kernel() (vec.Kernel, error) {
-	return vec.ForName(cmp.Or(p.Kernel, PaperKernel))
 }
 
 // Defaults returns the paper's default parameters (Table II) resolved for
@@ -162,7 +154,6 @@ func Defaults(ds *dataset.Dataset) Params {
 		PrecomputeTable: true,
 		PageSize:        8192,
 		Packed:          paperPacked,
-		Kernel:          PaperKernel,
 	}
 	if prof, err := dataset.ProfileByName(ds.Name); err == nil {
 		p.M = prof.PQM

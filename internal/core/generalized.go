@@ -67,10 +67,6 @@ func buildGeneralized(kind IndexKind, engine Engine, ds *dataset.Dataset, p Para
 	if err != nil {
 		return nil, res, err
 	}
-	kern, err := p.kernel()
-	if err != nil {
-		return nil, res, err
-	}
 	frames := p.BufferFrames
 	if frames == 0 {
 		// Size the pool to keep the table and index memory-resident, per
@@ -151,7 +147,7 @@ func buildGeneralized(kind IndexKind, engine Engine, ds *dataset.Dataset, p Para
 		scan: *am.DefaultScanOpts(),
 	}
 	gi.scan.NProbe, gi.scan.EFS, gi.scan.Threads = p.NProbe, p.EFS, p.SearchThreads
-	gi.scan.HeapK, gi.scan.Kernel = paperHeapK, kern
+	gi.scan.HeapK, gi.scan.Kernel = paperHeapK, paperKern
 	return gi, res, nil
 }
 

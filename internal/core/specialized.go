@@ -26,16 +26,12 @@ type SpecializedIndex struct {
 func BuildSpecialized(kind IndexKind, ds *dataset.Dataset, p Params) (*SpecializedIndex, BuildResult, error) {
 	res := BuildResult{Engine: Specialized, Kind: kind, N: ds.N()}
 	si := &SpecializedIndex{kind: kind, params: p}
-	kern, err := p.kernel()
-	if err != nil {
-		return nil, res, err
-	}
 	start := time.Now()
 	switch kind {
 	case IVFFlat:
 		ix, err := ivfflat.New(ivfflat.Options{
 			Dim: ds.Dim, NList: p.C, UseGemm: p.UseGemm, Threads: p.BuildThreads,
-			KMeansFlavor: p.KMeansFlavor, SampleRatio: p.SR, Seed: p.Seed, Kernel: kern, Prof: p.Prof,
+			KMeansFlavor: p.KMeansFlavor, SampleRatio: p.SR, Seed: p.Seed, Kernel: paperKern, Prof: p.Prof,
 		})
 		if err != nil {
 			return nil, res, err
@@ -53,7 +49,7 @@ func BuildSpecialized(kind IndexKind, ds *dataset.Dataset, p Params) (*Specializ
 		ix, err := ivfpq.New(ivfpq.Options{
 			Dim: ds.Dim, NList: p.C, M: p.M, KSub: p.KSub,
 			UseGemm: p.UseGemm, Threads: p.BuildThreads, KMeansFlavor: p.KMeansFlavor,
-			SampleRatio: p.SR, Seed: p.Seed, PrecomputeTable: p.PrecomputeTable, Kernel: kern, Prof: p.Prof,
+			SampleRatio: p.SR, Seed: p.Seed, PrecomputeTable: p.PrecomputeTable, Kernel: paperKern, Prof: p.Prof,
 		})
 		if err != nil {
 			return nil, res, err
@@ -68,7 +64,7 @@ func BuildSpecialized(kind IndexKind, ds *dataset.Dataset, p Params) (*Specializ
 		res.TrainTime, res.AddTime = st.TrainTime, st.AddTime
 		si.pqIdx = ix
 	case HNSW:
-		ix, err := hnsw.New(hnsw.Options{Dim: ds.Dim, BNN: p.BNN, EFB: p.EFB, Seed: p.Seed, Kernel: kern, Prof: p.Prof})
+		ix, err := hnsw.New(hnsw.Options{Dim: ds.Dim, BNN: p.BNN, EFB: p.EFB, Seed: p.Seed, Kernel: paperKern, Prof: p.Prof})
 		if err != nil {
 			return nil, res, err
 		}

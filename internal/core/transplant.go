@@ -17,13 +17,9 @@ func BuildFaissStar(gen *GeneralizedIndex, ds *dataset.Dataset, p Params) (*Spec
 	if !ok {
 		return nil, fmt.Errorf("core: Faiss* requires a generalized ivfflat index, have %s", gen.AM().AM())
 	}
-	kern, err := p.kernel()
-	if err != nil {
-		return nil, err
-	}
 	star, err := ivfflat.New(ivfflat.Options{
 		Dim: ds.Dim, NList: paseIdx.NList(), UseGemm: p.UseGemm,
-		Threads: p.BuildThreads, Seed: p.Seed, Kernel: kern, Prof: p.Prof,
+		Threads: p.BuildThreads, Seed: p.Seed, Kernel: paperKern, Prof: p.Prof,
 	})
 	if err != nil {
 		return nil, err

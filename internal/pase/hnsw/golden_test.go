@@ -61,7 +61,7 @@ func TestGoldenDigest(t *testing.T) {
 			}
 			h := fnv.New64a()
 			for _, efs := range []string{"16", "200"} {
-				opts := testutil.PaperScanOpts(t, map[string]string{"heap": heapMode, "distance_kernel": kernel, "efs": efs})
+				opts := testutil.ScanOpts(t, map[string]string{"heap": heapMode, "distance_kernel": kernel, "efs": efs})
 				for _, q := range batch {
 					testutil.DigestResults(h, testutil.MustScan(t, ix, []am.Query{{Vec: q.Vec, K: q.K}}, opts)[0])
 					if q.Pred != nil {

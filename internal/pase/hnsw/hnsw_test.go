@@ -169,7 +169,7 @@ func TestDeleteMaintain(t *testing.T) {
 			}
 			testutil.DigestResults(h, []am.Result{{TID: elected}})
 			// efs = k: a beam this narrow ends where its entry point sends it.
-			opts := testutil.PaperScanOpts(t, map[string]string{"efs": "10"})
+			opts := testutil.ScanOpts(t, map[string]string{"efs": "10", "heap": "n", "distance_kernel": "unrolled"})
 			for _, q := range qs {
 				testutil.DigestResults(h, testutil.MustScan(t, ix, []am.Query{{Vec: q, K: 10}}, opts)[0])
 			}

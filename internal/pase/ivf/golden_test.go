@@ -48,11 +48,17 @@ func TestGoldenDigest(t *testing.T) {
 	qs := queries(99, 6)
 	ks := []int{10, 10, 3, 10, 25, 10}
 	preds := []am.Predicate{nil, fx.PredMod(3), nil, fx.PredMod(2), fx.PredMod(7), nil}
+	// The paper position — heap = n under unrolled — then one knob moved.
+	paper := map[string]string{"heap": "n", "distance_kernel": "unrolled"}
+	paperHeapK := map[string]string{"heap": "k", "distance_kernel": "unrolled"}
+	paperThreads := map[string]string{"heap": "n", "distance_kernel": "unrolled", "threads": "2"}
+	paperRef := map[string]string{"heap": "n", "distance_kernel": "ref", "nprobe": "7"}
 	paperKnobs := map[string][]map[string]string{
-		"ivfflat":     {nil, {"heap": "k"}, {"threads": "2"}, {"nprobe": "7", "distance_kernel": "ref"}},
-		"ivfpq":       {nil, {"heap": "k"}, {"threads": "2"}, {"nprobe": "7", "distance_kernel": "ref"}},
-		"ivfsq8":      {nil, {"sq8_rerank": "2"}, {"nprobe": "7", "sq8_rerank": "1", "distance_kernel": "ref"}},
-		"pgv_ivfflat": {nil, {"nprobe": "7", "distance_kernel": "ref"}},
+		"ivfflat": {paper, paperHeapK, paperThreads, paperRef},
+		"ivfpq":   {paper, paperHeapK, paperThreads, paperRef},
+		"ivfsq8": {paper, {"heap": "n", "distance_kernel": "unrolled", "sq8_rerank": "2"},
+			{"heap": "n", "distance_kernel": "ref", "nprobe": "7", "sq8_rerank": "1"}},
+		"pgv_ivfflat": {paper, paperRef},
 	}
 	servedKnobs := func(kernel string) []map[string]string {
 		return []map[string]string{
@@ -70,7 +76,7 @@ func TestGoldenDigest(t *testing.T) {
 			h := fnv.New64a()
 			add := func(rows []am.Result) { testutil.DigestResults(h, rows) }
 			for _, knobs := range knobSets {
-				opts := testutil.PaperScanOpts(t, knobs)
+				opts := testutil.ScanOpts(t, knobs)
 				for i, q := range qs {
 					rows, err := scanOne(ix, am.Query{Vec: q, K: ks[i]}, opts)
 					if err != nil {

@@ -144,7 +144,7 @@ func TestScanReturnsADCDistances(t *testing.T) {
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 		for _, heapMode := range []string{"n", "k"} {
-			opts := testutil.PaperScanOpts(t, map[string]string{"nprobe": "16", "heap": heapMode})
+			opts := testutil.ScanOpts(t, map[string]string{"nprobe": "16", "heap": heapMode, "distance_kernel": "unrolled"})
 			rows := testutil.MustScan(t, &Index{ix}, []am.Query{{Vec: q, K: k}}, opts)[0]
 			if len(rows) != k {
 				t.Fatalf("q%d heap=%s: %d rows, want %d", qn, heapMode, len(rows), k)

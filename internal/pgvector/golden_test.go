@@ -59,7 +59,7 @@ func TestGoldenDigest(t *testing.T) {
 		}
 		h := fnv.New64a()
 		for _, nprobe := range []string{"2", "32"} {
-			opts := testutil.PaperScanOpts(t, map[string]string{"heap": heapMode, "distance_kernel": kernel, "nprobe": nprobe})
+			opts := testutil.ScanOpts(t, map[string]string{"heap": heapMode, "distance_kernel": kernel, "nprobe": nprobe})
 			for _, q := range batch {
 				testutil.DigestResults(h, scan([]am.Query{{Vec: q.Vec, K: q.K}}, opts)[0])
 				if q.Pred != nil {

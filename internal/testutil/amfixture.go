@@ -166,29 +166,12 @@ func (fx *AMFixture) BruteTopK(q []float32, k int, live func(row int) bool) []he
 func ScanOpts(t testing.TB, knobs map[string]string) *am.ScanOpts {
 	t.Helper()
 	opts := am.DefaultScanOpts()
-	setKnobs(t, opts, knobs)
-	return opts
-}
-
-// PaperScanOpts is ScanOpts starting from the paper-faithful positions
-// (heap = n, distance_kernel = unrolled) instead of the served defaults:
-// the options the golden digests recorded before the defaults moved are
-// pinned to.
-func PaperScanOpts(t testing.TB, knobs map[string]string) *am.ScanOpts {
-	t.Helper()
-	opts := am.DefaultScanOpts()
-	setKnobs(t, opts, map[string]string{"heap": "n", "distance_kernel": "unrolled"})
-	setKnobs(t, opts, knobs)
-	return opts
-}
-
-func setKnobs(t testing.TB, opts *am.ScanOpts, knobs map[string]string) {
-	t.Helper()
 	for name, value := range knobs {
 		if known, err := opts.Set(name, value); err != nil || !known {
 			t.Fatalf("scan knob %s=%s: known=%v, %v", name, value, known, err)
 		}
 	}
+	return opts
 }
 
 // MustScan runs ix.Scan, failing the test on an error or on anything but

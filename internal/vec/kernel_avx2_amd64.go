@@ -10,23 +10,23 @@ package vec
 // falls back to the default kernel (vec.ForName documents this).
 //
 // Parity: the scalar tail is added sequentially after the vector body,
-// so the summation order is a pure function of the vector length. The
-// row-batch forms (L2SqrBatch, L2SqrNTRows) run one assembly call per
-// group of rows whose per-pair body repeats the solo routine instruction
-// for instruction, and share the solo form's tail; L2SqrNT calls the
-// solo form per pair. Either way a batched distance is bit-identical to
-// the solo one. Denormals are handled by hardware IEEE semantics (Go
+// so the summation order is a pure function of the vector length. There
+// is one full-precision assembly body, which scores a query against a
+// group of rows: the row-batch forms (L2SqrBatch, L2SqrNTRows) hand it a
+// page segment per call, the solo form hands it one row, and L2SqrNT
+// calls the solo form per pair — all over the one scalar tail, so a
+// batched distance is bit-identical to the solo one by construction.
+// Denormals are handled by hardware IEEE semantics (Go
 // does not set DAZ/FTZ in MXCSR), so no flush-to-zero divergence from
 // the scalar kernels.
 
-// l2sqrAVX2 sums ‖x−y‖² over the first n elements; n must be a
-// positive multiple of 8. Implemented in kernel_avx2_amd64.s.
-func l2sqrAVX2(x, y *float32, n int) float32
-
-// l2sqrBatchAVX2 writes the l2sqrAVX2 distance of q to every row into
-// out[i*stride], with one VZEROUPPER for the whole batch; d must be a
-// positive multiple of 8 and every row must hold ≥ d floats.
-// Implemented in kernel_avx2_amd64.s.
+// l2sqrBatchAVX2 writes ‖q − rows[i]‖² over the first d elements into
+// out[i*stride] for every row, with one VZEROUPPER for the whole batch;
+// d must be a positive multiple of 8 and every row must hold ≥ d floats.
+// It retains no pointer, so the solo form's one-row batch stays on the
+// stack. Implemented in kernel_avx2_amd64.s.
+//
+//go:noescape
 func l2sqrBatchAVX2(q *float32, rows [][]float32, d int, out *float32, stride int)
 
 // l2sqrSQ8AVX2 sums the asymmetric ‖q − (mn + st·code)‖² over the first
@@ -90,14 +90,15 @@ type avx2Kernel struct{}
 // Name implements Kernel.
 func (avx2Kernel) Name() string { return "avx2" }
 
-// L2Sqr implements Kernel.
+// L2Sqr implements Kernel: a batch of one row.
 func (avx2Kernel) L2Sqr(x, y []float32) float32 {
 	n := len(x)
 	y = y[:n]
 	n8 := n &^ 7
 	var s float32
 	if n8 > 0 {
-		s = l2sqrAVX2(&x[0], &y[0], n8)
+		row := [1][]float32{y}
+		l2sqrBatchAVX2(&x[0], row[:], n8, &s, 1)
 	}
 	return l2sqrTail(s, x, y, n8)
 }

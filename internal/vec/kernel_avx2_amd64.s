@@ -1,78 +1,19 @@
 // AVX2 squared-L2 kernel and CPUID feature probes. See
 // kernel_avx2_amd64.go for the dispatch rules and the parity contract:
-// this routine's reduction order is fixed (four YMM accumulators summed
+// the per-row reduction order is fixed (four YMM accumulators summed
 // pairwise, then a horizontal add), so for a given length the result is
 // deterministic, and sub-then-square makes it sign-symmetric bitwise.
 
 #include "textflag.h"
 
-// func l2sqrAVX2(x, y *float32, n int) float32
-// n must be a positive multiple of 8.
-TEXT ·l2sqrAVX2(SB), NOSPLIT, $0-28
-	MOVQ x+0(FP), SI
-	MOVQ y+8(FP), DI
-	MOVQ n+16(FP), CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-
-loop32:
-	CMPQ CX, $32
-	JLT  loop8
-	VMOVUPS (SI), Y4
-	VMOVUPS 32(SI), Y5
-	VMOVUPS 64(SI), Y6
-	VMOVUPS 96(SI), Y7
-	VSUBPS  (DI), Y4, Y4
-	VSUBPS  32(DI), Y5, Y5
-	VSUBPS  64(DI), Y6, Y6
-	VSUBPS  96(DI), Y7, Y7
-	VMULPS  Y4, Y4, Y4
-	VMULPS  Y5, Y5, Y5
-	VMULPS  Y6, Y6, Y6
-	VMULPS  Y7, Y7, Y7
-	VADDPS  Y4, Y0, Y0
-	VADDPS  Y5, Y1, Y1
-	VADDPS  Y6, Y2, Y2
-	VADDPS  Y7, Y3, Y3
-	ADDQ    $128, SI
-	ADDQ    $128, DI
-	SUBQ    $32, CX
-	JMP     loop32
-
-loop8:
-	CMPQ CX, $8
-	JLT  reduce
-	VMOVUPS (SI), Y4
-	VSUBPS  (DI), Y4, Y4
-	VMULPS  Y4, Y4, Y4
-	VADDPS  Y4, Y0, Y0
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $8, CX
-	JMP     loop8
-
-reduce:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	VZEROUPPER
-	MOVSS X0, ret+24(FP)
-	RET
-
 // func l2sqrBatchAVX2(q *float32, rows [][]float32, d int, out *float32, stride int)
 // d must be a positive multiple of 8; every row must hold ≥ d floats
-// (the Go shim enforces both). The per-row body is instruction for
-// instruction the solo l2sqrAVX2 loop with x = q and y = the row, so
-// out[i*stride] is bit-identical to the solo call — the L2SqrBatch /
-// L2SqrNTRows parity contract. Batching amortizes the call overhead (asm
-// entry, Go-side reslices, VZEROUPPER) across a page segment of rows:
-// VZEROUPPER runs once per batch, not once per row.
+// (the Go shim enforces both). This is the one full-precision body: the
+// solo L2Sqr is a batch of one row, so a batched distance is bit-identical
+// to the solo one by construction — the L2SqrBatch / L2SqrNTRows parity
+// contract. Batching amortizes the call overhead (asm entry, Go-side
+// reslices, VZEROUPPER) across a page segment of rows: VZEROUPPER runs
+// once per batch, not once per row.
 TEXT ·l2sqrBatchAVX2(SB), NOSPLIT, $0-56
 	MOVQ q+0(FP), R13
 	MOVQ rows_base+8(FP), R10
