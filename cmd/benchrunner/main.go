@@ -22,12 +22,12 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment id (fig2..fig19, tab3..tab5, ablation_*) or 'all'")
+		exp      = flag.String("exp", "", "experiment id (fig2..fig19, tab3..tab5, ablation_*, qps_cluster) or 'all'")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		scale    = flag.Float64("scale", 0.02, "dataset scale factor (1.0 = paper scale)")
 		datasets = flag.String("datasets", "", "comma-separated dataset subset (default: all six)")
 		queries  = flag.Int("queries", 100, "max queries per dataset")
-		clients  = flag.String("clients", "", "comma-separated client counts for -exp qps (default 1,2,4,8,16)")
+		clients  = flag.String("clients", "", "comma-separated client counts for -exp qps_cluster (default 1,2,4,8,16)")
 		seed     = flag.Int64("seed", 42, "workload seed")
 	)
 	flag.Parse()

@@ -1,6 +1,8 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation (Figs 2–19, Tables III–V) plus the ablations DESIGN.md
-// lists. Each experiment is a registered driver that builds the needed
+// lists, and one scale-out sweep the paper leaves out (qps_cluster: the
+// served-stack benchmark in benchmark/ has no multi-shard workload).
+// Each experiment is a registered driver that builds the needed
 // indexes through internal/core, runs the workload, and prints the same
 // rows/series the paper reports, with the paper's reference numbers in
 // the header comment so shape can be checked at a glance.
@@ -18,7 +20,6 @@ import (
 
 	"vecstudy/internal/core"
 	"vecstudy/internal/dataset"
-	"vecstudy/internal/vec"
 )
 
 // Config parameterizes a harness run.
@@ -26,7 +27,7 @@ type Config struct {
 	Scale    float64  // dataset scale factor; 0 ⇒ 0.02
 	Datasets []string // subset of profiles; empty ⇒ all six
 	Queries  int      // cap on query count per dataset; 0 ⇒ 100
-	Clients  []int    // client counts for the concurrent-QPS experiment; empty ⇒ 1,2,4,8,16
+	Clients  []int    // client counts for qps_cluster; empty ⇒ 1,2,4,8,16
 	Seed     int64
 	Out      io.Writer
 
@@ -85,11 +86,6 @@ type Experiment struct {
 	Paper string // the paper's headline result, for side-by-side reading
 	Run   func(cfg *Config) error
 }
-
-// benchRefKern pins every exact-oracle computation in this package (the
-// churn and filtered ground truths) to the ref kernel, matching
-// dataset.ComputeGroundTruth.
-var benchRefKern = vec.Ref()
 
 var registry = map[string]Experiment{}
 

@@ -17,8 +17,7 @@ func TestRegistryCoversEveryFigureAndTable(t *testing.T) {
 		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
 		"tab3", "tab4", "tab5",
 		"ablation_io", "ablation_heap", "ablation_pqtab", "ablation_kmeans", "ablation_layout",
-		"qps", "qps_remote", "qps_cluster", "qps_batched",
-		"filtered", "churn", "kernels", "sq8",
+		"qps_cluster",
 	}
 	for _, id := range want {
 		if _, err := Lookup(id); err != nil {
@@ -38,15 +37,12 @@ func TestLookupUnknown(t *testing.T) {
 
 // TestExperimentsRunAtSmokeScale executes a representative subset of the
 // drivers end to end. The heavy sweeps (fig9, fig18) and the full HNSW
-// builds are covered by the quick variants here plus the root benchmarks;
-// churn, kernels, and sq8 run as their own CI smoke steps (their extra
-// index builds and per-statement loops under -race would push this
-// package past the test binary's timeout).
+// builds are covered by the quick variants here plus the root benchmarks.
 func TestExperimentsRunAtSmokeScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping harness smoke in -short mode")
 	}
-	for _, id := range []string{"fig2", "fig3", "fig4", "fig11", "fig13", "fig14", "fig15", "tab4", "tab5", "ablation_heap", "ablation_pqtab", "qps", "qps_remote", "qps_cluster", "qps_batched", "filtered"} {
+	for _, id := range []string{"fig2", "fig3", "fig4", "fig11", "fig13", "fig14", "fig15", "tab4", "tab5", "ablation_heap", "ablation_pqtab", "qps_cluster"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			var buf strings.Builder

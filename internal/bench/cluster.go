@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"time"
 
+	"vecstudy/internal/client"
 	"vecstudy/internal/cluster"
 	"vecstudy/internal/core"
 	"vecstudy/internal/dataset"
@@ -18,7 +20,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "qps_cluster",
-		Title: "Scatter-gather cluster QPS: sharded serving vs the single-node remote baseline",
+		Title: "Scatter-gather cluster QPS: sharded serving vs the single-node baseline",
 		Paper: "beyond the paper: it scales PostgreSQL up (one box, many cores); specialized systems scale out by partition-parallel search, reproduced here as a shard router over the serving layer",
 		Run:   runQPSCluster,
 	})
@@ -92,8 +94,8 @@ func buildShardNode(ds *dataset.Dataset, shard, shards int, p core.Params, maxCl
 
 // runQPSCluster sweeps shard count x client count through real loopback
 // shard servers fronted by the scatter-gather router, next to the
-// single-node remote baseline (the same serving path qps_remote
-// measures), so the scale-out yield of partition-parallel search is
+// single-node baseline (one shard behind the same serving path, no
+// router), so the scale-out yield of partition-parallel search is
 // read off directly: vs_single = cluster QPS over single-node QPS at
 // the same client count, efficiency = vs_single / shards.
 func runQPSCluster(cfg *Config) error {
@@ -103,7 +105,6 @@ func runQPSCluster(cfg *Config) error {
 	}
 	p := core.Defaults(ds)
 	p.K = 10
-	p.BufferPartitions = 1
 
 	perClient := cfg.Queries
 	if perClient <= 0 {
@@ -126,39 +127,25 @@ func runQPSCluster(cfg *Config) error {
 		ds.Name, p.NProbe, p.K, perClient, runtime.GOMAXPROCS(0))
 	cfg.printf("shards  clients  qps       p50        p99        vs_single  efficiency\n")
 
-	// Single-node baseline: one shard, no router, same serving path.
-	gen, _, err := core.BuildGeneralized(core.IVFFlat, ds, p)
+	// Single-node baseline: one shard, no router — the same loader, pool
+	// and index options every shard gets, so vs_single measures scale-out
+	// and nothing else.
+	single, err := buildShardNode(ds, 0, 1, p, maxClients)
 	if err != nil {
 		return err
 	}
-	single := server.New(gen.DB(), server.Config{
-		MaxActive:    maxClients + 8,
-		QueueDepth:   maxClients,
-		QueryTimeout: time.Minute,
-	})
-	if err := single.Start("127.0.0.1:0"); err != nil {
-		gen.Close()
-		return err
-	}
-	stopSingle := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		single.Shutdown(ctx)
-		gen.Close()
-	}
-
 	baseline := make(map[int]core.ConcurrentResult, len(clientCounts))
 	for _, clients := range clientCounts {
-		r, err := runRemoteClients(single.Addr().String(), clients, perClient, p.NProbe, sqls)
+		r, err := runRemoteClients(single.srv.Addr().String(), clients, perClient, p.NProbe, sqls)
 		if err != nil {
-			stopSingle()
+			single.stop()
 			return err
 		}
 		baseline[clients] = r
 		cfg.printf("%-7d %-8d %-9.1f %-10v %-10v %-10s %s\n",
 			1, clients, r.QPS, r.P50.Round(time.Microsecond), r.P99.Round(time.Microsecond), "1.00x", "100%")
 	}
-	stopSingle()
+	single.stop()
 
 	for _, shards := range []int{2, 4} {
 		nodes := make([]*shardNode, shards)
@@ -225,5 +212,56 @@ func runQPSCluster(cfg *Config) error {
 	cfg.printf("# vs_single = cluster QPS / single-node QPS at the same client count; efficiency = vs_single / shards.\n")
 	cfg.printf("# Each shard holds N/shards rows (placement: id mod shards), so per-shard scans are smaller; the router\n")
 	cfg.printf("# pays one extra hop plus a k-way merge. Scaling well below 100%% shows where fan-out overhead goes.\n")
+	cfg.printf("# Every node, the shards=1 row included, is a served database (db.Open defaults, fresh sessions), not the engines line above.\n")
 	return nil
+}
+
+// runRemoteClients opens one connection per client (each pinned to its
+// own session, with the scan knob SET once up front) and drives the
+// query mix through the serving layer.
+func runRemoteClients(addr string, clients, perClient, nprobe int, sqls []string) (core.ConcurrentResult, error) {
+	conns := make([]*client.Conn, clients)
+	defer func() {
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
+			}
+		}
+	}()
+	for i := range conns {
+		c, err := client.Dial(addr)
+		if err != nil {
+			return core.ConcurrentResult{}, err
+		}
+		conns[i] = c
+		if _, err := c.Execute(fmt.Sprintf("SET nprobe = %d", nprobe)); err != nil {
+			return core.ConcurrentResult{}, err
+		}
+	}
+	return core.RunConcurrent(clients, perClient, func(c, i int) error {
+		res, err := conns[c].Execute(sqls[(c*perClient+i)%len(sqls)])
+		if err != nil {
+			return err
+		}
+		if len(res.Rows) == 0 {
+			return fmt.Errorf("bench: remote query returned no rows")
+		}
+		return nil
+	})
+}
+
+// searchSQL renders one top-k search as the SQL the serving layer
+// parses, against the table buildShardNode loads ("t", column "vec").
+func searchSQL(query []float32, k int) string {
+	var b strings.Builder
+	b.WriteString("SELECT id, distance FROM t ORDER BY vec <-> '{")
+	for i, v := range query {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.FormatFloat(float64(v), 'g', -1, 32))
+	}
+	b.WriteString("}' LIMIT ")
+	b.WriteString(strconv.Itoa(k))
+	return b.String()
 }

@@ -9,7 +9,7 @@
 // experiment is "flip one toggle, rerun, compare":
 //
 //	RC#1 UseGemm         RC#5 KMeansFlavor
-//	RC#2 (inherent in engine choice)
+//	RC#2 (inherent in engine choice; single-lock pool, see paperPartitions)
 //	RC#3 BuildThreads / SearchThreads
 //	RC#4 PageSize, Packed
 //	RC#6 GeneralizedIndex.ScanOpts().HeapK
@@ -23,7 +23,6 @@ import (
 	"vecstudy/internal/dataset"
 	"vecstudy/internal/kmeans"
 	"vecstudy/internal/pg/am"
-	"vecstudy/internal/pg/sql"
 	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
@@ -51,24 +50,28 @@ const (
 	GeneralizedBaseline Engine = "generalized_baseline"
 )
 
-// The paper-faithful positions of the three knobs a served session
+// The paper-faithful positions of the four knobs a served database
 // starts on the fast side of: am.DefaultScanOpts() has heap = k and the
-// best kernel the host registered, and CREATE INDEX … USING hnsw builds
-// packed = true. Every engine cmd/benchrunner measures is built by this
-// package, and this block is the one place those engines take the three
-// positions from — so a figure of EXPERIMENTS.md means what it meant when
-// it was recorded, and an ablation flips one of them from a stated
-// baseline instead of from whatever a session defaults to.
+// best kernel the host registered, CREATE INDEX … USING hnsw builds
+// packed = true, and db.Open splits the pool into 16 partitions. Every
+// engine a paper experiment of cmd/benchrunner measures is built by
+// this package, and this block is the one place those engines take the
+// four positions from — so a figure of EXPERIMENTS.md means what it
+// meant when it was recorded, and an ablation flips one of them from a
+// stated baseline instead of from whatever a session defaults to.
 const (
 	// PaperKernel scores both engines. One kernel on both sides keeps a
 	// gap a statement about the engines (RC#2–RC#7) rather than about the
-	// instruction set; -exp kernels sweeps that axis on its own. Every
+	// instruction set; cmd/kernelgate gates that axis on its own. Every
 	// recorded figure ran on unrolled, which every host registers.
 	PaperKernel = "unrolled"
 	// paperHeapK is RC#6's position: PASE's size-n candidate collector.
 	paperHeapK = false
 	// paperPacked is RC#4's position: a page chain per adjacency list.
 	paperPacked = false
+	// paperPartitions is RC#2/RC#3's pool: one global lock every tuple
+	// access funnels through.
+	paperPartitions = 1
 )
 
 // paperHeap is paperHeapK the way SET heap takes it.
@@ -79,17 +82,8 @@ var paperKern, _ = vec.ForName(PaperKernel)
 
 // PaperPositions renders the pinned positions for an experiment header.
 func PaperPositions() string {
-	return fmt.Sprintf("distance_kernel=%s on both engines, generalized heap=%s, hnsw packed=%v",
-		PaperKernel, paperHeap, paperPacked)
-}
-
-// PinSession puts a SQL session — which starts on the served defaults —
-// on the paper-faithful scan positions.
-func PinSession(sess *sql.Session) error {
-	if err := sess.Set("heap", paperHeap); err != nil {
-		return err
-	}
-	return sess.Set(sql.DistanceKernelSetting, PaperKernel)
+	return fmt.Sprintf("distance_kernel=%s on both engines, generalized heap=%s, hnsw packed=%v, buffer_partitions=%d",
+		PaperKernel, paperHeap, paperPacked, paperPartitions)
 }
 
 // Params carries the paper's Table II parameters plus the root-cause
@@ -118,12 +112,6 @@ type Params struct {
 	// Generalized-engine substrate knobs.
 	PageSize     int // RC#4 (default 8192)
 	BufferFrames int // default sized to hold the whole index
-	// BufferPartitions splits the buffer pool PostgreSQL-style; 0 means 1
-	// — the paper-faithful single global lock, so every RC#2/RC#3
-	// experiment reproduces the paper's serialization unchanged. The
-	// concurrent-query benchmark raises it (e.g. to 16) to measure
-	// inter-query scaling.
-	BufferPartitions int
 	// Packed builds the generalized HNSW index on the memory-optimized
 	// adjacency layout (the layout ablation); false is the paper's RC#4
 	// position.

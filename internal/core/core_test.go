@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"vecstudy/internal/testutil"
 )
@@ -173,5 +174,27 @@ func TestBaselineSlowestGeneralized(t *testing.T) {
 	if baseRes.Total < genRes.Total {
 		t.Logf("note: baseline (%v) beat PASE-style (%v) at this tiny scale; Fig 2's ordering is asserted in the benchmark harness",
 			baseRes.Total, genRes.Total)
+	}
+}
+
+func TestPercentileNearestRank(t *testing.T) {
+	// Samples 1..n, so the nearest-rank p-quantile is ⌈p·n⌉ itself.
+	for _, tc := range []struct {
+		n    int
+		p    float64
+		want time.Duration
+	}{
+		{1, 0.50, 1}, {1, 0.99, 1},
+		{10, 0.50, 5}, {10, 0.99, 10},
+		{100, 0.50, 50}, {100, 0.99, 99},
+		{200, 0.50, 100}, {200, 0.99, 198},
+	} {
+		sorted := make([]time.Duration, tc.n)
+		for i := range sorted {
+			sorted[i] = time.Duration(i + 1)
+		}
+		if got := percentile(sorted, tc.p); got != tc.want {
+			t.Errorf("percentile(1..%d, %v) = %d, want %d", tc.n, tc.p, got, tc.want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -61,8 +62,7 @@ type ConcurrentResult struct {
 // RunConcurrent drives an arbitrary per-request operation from clients
 // goroutines, each issuing perClient sequential requests, and reports
 // aggregate QPS plus per-request latency percentiles. op(c, i) runs
-// request i of client c; the in-process and remote QPS benchmarks share
-// this driver so their numbers are directly comparable.
+// request i of client c.
 func RunConcurrent(clients, perClient int, op func(c, i int) error) (ConcurrentResult, error) {
 	res := ConcurrentResult{Clients: clients, Queries: clients * perClient}
 	if clients < 1 || perClient < 1 {
@@ -106,24 +106,19 @@ func RunConcurrent(clients, perClient int, op func(c, i int) error) (ConcurrentR
 	return res, nil
 }
 
-// RunSearchConcurrent drives the index from clients goroutines, each
-// issuing perClient top-k searches round-robin over the dataset's query
-// set. The index is shared: this measures inter-query concurrency
-// (buffer pool contention included), not intra-query threading.
-func RunSearchConcurrent(ix Index, ds *dataset.Dataset, k, clients, perClient int) (ConcurrentResult, error) {
-	return RunConcurrent(clients, perClient, func(c, i int) error {
-		q := (c*perClient + i) % ds.NQ()
-		_, err := ix.Search(ds.Queries.Row(q), k)
-		return err
-	})
-}
-
-// percentile returns the p-quantile of sorted latencies (nearest-rank).
+// percentile returns the p-quantile of sorted latencies by nearest rank:
+// the ⌈p·n⌉-th smallest sample, so p99 of ten samples is the maximum.
 func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(p * float64(len(sorted)-1))
+	i := int(math.Ceil(p*float64(len(sorted)))) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(sorted) {
+		i = len(sorted) - 1
+	}
 	return sorted[i]
 }
 

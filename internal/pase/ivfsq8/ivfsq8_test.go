@@ -51,8 +51,8 @@ func TestSearchMatchesExactAfterRerank(t *testing.T) {
 // at d=32 (40 vs 136 bytes). At this small scale the fixed overhead —
 // meta, centroid, and stats pages plus the one-page minimum per bucket
 // chain — dilutes the on-disk ratio, so we only assert the whole
-// relation is strictly smaller; the asymptotic ratio is exercised by
-// the -exp sq8 experiment at dataset scale.
+// relation is strictly smaller; the asymptotic ratio at dataset scale
+// is the SQ8 table EXPERIMENTS.md records.
 func TestIndexSmallerThanIvfflat(t *testing.T) {
 	fx := newFixture(t)
 	sq8 := fx.Build(t, "ivfsq8", withOpts)
