@@ -60,10 +60,15 @@ const (
 // meant when it was recorded, and an ablation flips one of them from a
 // stated baseline instead of from whatever a session defaults to.
 const (
-	// PaperKernel scores both engines. One kernel on both sides keeps a
-	// gap a statement about the engines (RC#2–RC#7) rather than about the
-	// instruction set; cmd/kernelgate gates that axis on its own. Every
-	// recorded figure ran on unrolled, which every host registers.
+	// PaperKernel scores both engines' searches and every specialized
+	// build. One kernel on both sides keeps a gap a statement about the
+	// engines (RC#2–RC#7) rather than about the instruction set;
+	// cmd/kernelgate gates that axis on its own. Every recorded figure
+	// ran on unrolled, which every host registers. One exception: the
+	// PASE HNSW build scores with ref (refKern in internal/pase/hnsw),
+	// so Fig 7, Tab III and Fig 8's build side compare a ref-built PASE
+	// graph against an unrolled-built Faiss one, and ref is about 1.7×
+	// slower per d = 128 distance (EXPERIMENTS.md, Fig 7).
 	PaperKernel = "unrolled"
 	// paperHeapK is RC#6's position: PASE's size-n candidate collector.
 	paperHeapK = false

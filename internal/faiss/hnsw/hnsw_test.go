@@ -1,6 +1,7 @@
 package hnsw
 
 import (
+	"math/rand"
 	"testing"
 
 	"vecstudy/internal/minheap"
@@ -223,5 +224,58 @@ func TestSearchDimValidation(t *testing.T) {
 	ix := buildSmall(t, Options{Seed: 10})
 	if _, err := ix.Search(make([]float32, 2), 1, 10); err == nil {
 		t.Error("accepted wrong-dimension query")
+	}
+}
+
+// TestSearchRejectsNonPositiveK: k <= 0 is an error, as on every other
+// index, never a panic out of the result heap or a negative slice bound.
+func TestSearchRejectsNonPositiveK(t *testing.T) {
+	ix := buildSmall(t, Options{Seed: 11})
+	q := testutil.SmallDataset(t).Queries.Row(0)
+	for _, tc := range []struct{ k, efs int }{{0, 0}, {0, 40}, {-1, 40}, {-5, 0}} {
+		if items, err := ix.Search(q, tc.k, tc.efs); err == nil {
+			t.Errorf("Search(k=%d, efs=%d) = %v, want an error", tc.k, tc.efs, items)
+		}
+	}
+}
+
+// searchAllocCeiling is the allocation count of one Search at 8,000 ×
+// 128 rows, bnn 16, efb 40, efs 40 (9 when each search made its own
+// queues): the walk's queues and buffers live in the index, so a search
+// allocates only the rows it returns.
+const searchAllocCeiling = 1
+
+func TestSearchAllocBudget(t *testing.T) {
+	if testutil.Race {
+		t.Skip("the race runtime allocates on its own")
+	}
+	if testing.Short() {
+		t.Skip("builds an 8,000-row graph")
+	}
+	const n, dim = 8000, 128
+	rng := rand.New(rand.NewSource(41))
+	data := make([]float32, (n+100)*dim)
+	for i := range data {
+		data[i] = float32(rng.NormFloat64())
+	}
+	ix, err := New(Options{Dim: dim, BNN: 16, EFB: 40, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Add(data[:n*dim], n); err != nil {
+		t.Fatal(err)
+	}
+	queries := data[n*dim:]
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		q := queries[(i%100)*dim : (i%100+1)*dim]
+		if _, err := ix.Search(q, 10, 40); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("%.0f allocations per search", allocs)
+	if allocs > searchAllocCeiling {
+		t.Errorf("%.0f allocations per search, ceiling %d", allocs, searchAllocCeiling)
 	}
 }

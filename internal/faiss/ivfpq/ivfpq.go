@@ -262,6 +262,9 @@ func (ix *Index) Search(query []float32, k int, p SearchParams) ([]minheap.Item,
 	if len(query) != ix.opts.Dim {
 		return nil, fmt.Errorf("ivfpq: query dimension %d != %d", len(query), ix.opts.Dim)
 	}
+	if k <= 0 {
+		return nil, errors.New("ivfpq: k must be positive")
+	}
 	nprobe := p.NProbe
 	if nprobe <= 0 {
 		nprobe = 1

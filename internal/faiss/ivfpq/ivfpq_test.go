@@ -129,3 +129,15 @@ func TestSearchQueryDimMismatch(t *testing.T) {
 		t.Error("accepted wrong-dimension query")
 	}
 }
+
+// TestSearchRejectsNonPositiveK: k <= 0 is an error on the serial and
+// the parallel path, as on ivfflat, never a panic out of the result heap.
+func TestSearchRejectsNonPositiveK(t *testing.T) {
+	ix := buildSmall(t, Options{Seed: 7})
+	q := testutil.SmallDataset(t).Queries.Row(0)
+	for _, tc := range []struct{ k, threads int }{{0, 1}, {-1, 1}, {0, 4}, {-3, 4}} {
+		if items, err := ix.Search(q, tc.k, SearchParams{NProbe: 4, Threads: tc.threads}); err == nil {
+			t.Errorf("Search(k=%d, threads=%d) = %v, want an error", tc.k, tc.threads, items)
+		}
+	}
+}

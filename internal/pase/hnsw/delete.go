@@ -3,6 +3,7 @@ package hnsw
 import (
 	"fmt"
 
+	"vecstudy/internal/hnswalk"
 	"vecstudy/internal/pg/heap"
 )
 
@@ -140,7 +141,7 @@ func (ix *Index) Maintain() (int64, error) {
 // repairLevel rewrites v's adjacency list at one level if it references
 // any tombstoned vertex.
 func (ix *Index) repairLevel(v VID, level uint16) error {
-	nbs, err := ix.neighborsAt(v, level)
+	nbs, err := ix.neighborsAt(v, level, nil)
 	if err != nil {
 		return err
 	}
@@ -155,12 +156,13 @@ func (ix *Index) repairLevel(v VID, level uint16) error {
 		return nil
 	}
 
-	vvec, err := ix.vectorCopy(v)
+	g := ix.build
+	vvec, err := g.Vector(v)
 	if err != nil {
 		return err
 	}
 	seen := map[uint64]bool{v.key(): true}
-	var cands []scored
+	var cands []hnswalk.Scored[VID]
 	add := func(nb VID) error {
 		if seen[nb.key()] {
 			return nil
@@ -169,11 +171,11 @@ func (ix *Index) repairLevel(v VID, level uint16) error {
 		if _, dead := ix.tombs[nb.key()]; dead {
 			return nil
 		}
-		d, err := ix.distTo(refKern, vvec, nb)
+		d, err := g.Dist(vvec, nb)
 		if err != nil {
 			return err
 		}
-		cands = append(cands, scored{vid: nb, dist: d})
+		cands = append(cands, hnswalk.Scored[VID]{V: nb, Dist: d})
 		return nil
 	}
 	for _, nb := range nbs {
@@ -185,7 +187,7 @@ func (ix *Index) repairLevel(v VID, level uint16) error {
 		}
 		// Reconnect through the dead neighbor's own live neighbors so
 		// the region it bridged stays reachable.
-		hops, err := ix.neighborsAt(nb, level)
+		hops, err := ix.neighborsAt(nb, level, nil)
 		if err != nil {
 			return err
 		}
@@ -195,12 +197,7 @@ func (ix *Index) repairLevel(v VID, level uint16) error {
 			}
 		}
 	}
-	sortScored(cands)
-	selected, err := ix.selectNeighbors(cands, ix.capAt(level))
-	if err != nil {
-		return err
-	}
-	return ix.rewriteLevel(v, level, selected)
+	return ix.walk.Relink(g, v, int(level), cands)
 }
 
 // electEntry replaces a dead entry point with the highest-levelled live

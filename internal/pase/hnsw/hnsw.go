@@ -3,13 +3,12 @@ package hnsw
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"vecstudy/internal/minheap"
+	"vecstudy/internal/hnswalk"
 	"vecstudy/internal/pase"
 	"vecstudy/internal/pg/am"
 	"vecstudy/internal/pg/buffer"
@@ -34,10 +33,9 @@ type Index struct {
 	ctx  *am.BuildContext
 	meta meta
 
-	mu        sync.Mutex // serializes inserts, deletes, Maintain, and meta updates
-	levelMult float64
-	rng       *rand.Rand
-	stats     BuildStats
+	mu    sync.Mutex // serializes inserts, deletes, Maintain, and meta updates
+	rng   *rand.Rand
+	stats BuildStats
 
 	// tids maps each live vertex's heap TID to its graph location —
 	// HNSW has no deterministic vector→vertex mapping (unlike IVF's
@@ -55,6 +53,11 @@ type Index struct {
 	// map when profiling is on — would charge Fig 8's breakdown for its
 	// own bookkeeping.
 	tDist, tNb, tVisit, tTuple *prof.Timer
+
+	// walk and build serve inserts and Maintain, which mu serializes;
+	// every scan runs a walk of its own.
+	walk  hnswalk.Walker[VID]
+	build *graph
 }
 
 var _ am.Index = (*Index)(nil)
@@ -95,16 +98,17 @@ func Build(ctx *am.BuildContext) (am.Index, error) {
 	}
 
 	ix := &Index{
-		ctx:       ctx,
-		levelMult: 1 / math.Log(float64(bnn)),
-		rng:       rand.New(rand.NewSource(int64(seed))),
-		tids:      make(map[heap.TID]VID),
-		tombs:     make(map[uint64]VID),
-		tDist:     ctx.Prof.Timer("fvec_L2sqr"),
-		tNb:       ctx.Prof.Timer("pasepfirst"),
-		tVisit:    ctx.Prof.Timer("HVTGet"),
-		tTuple:    ctx.Prof.Timer("tuple_access"),
+		ctx:    ctx,
+		rng:    rand.New(rand.NewSource(int64(seed))),
+		tids:   make(map[heap.TID]VID),
+		tombs:  make(map[uint64]VID),
+		tDist:  ctx.Prof.Timer("fvec_L2sqr"),
+		tNb:    ctx.Prof.Timer("pasepfirst"),
+		tVisit: ctx.Prof.Timer("HVTGet"),
+		tTuple: ctx.Prof.Timer("tuple_access"),
+		walk:   hnswalk.Walker[VID]{BNN: bnn, EFB: efb, Phases: hnswalk.PhaseTimers(ctx.Prof)},
 	}
+	ix.build = &graph{ix: ix, kern: refKern, ef: efb}
 	ix.meta = meta{
 		Dim: uint32(ctx.Dim), BNN: uint32(bnn), EFB: uint32(efb),
 		MaxLevel: -1, Entry: InvalidVID, LastDataBlk: pase.InvalidBlk,
@@ -170,30 +174,10 @@ func (ix *Index) SizeBytes() (int64, error) {
 // NVertices returns the number of inserted vertices.
 func (ix *Index) NVertices() int { return int(ix.meta.NVertices) }
 
-func (ix *Index) randomLevel() uint16 {
-	r := ix.rng.Float64()
-	for r <= 0 {
-		r = ix.rng.Float64()
-	}
-	l := int(math.Floor(-math.Log(r) * ix.levelMult))
-	if l > 30 {
-		l = 30
-	}
-	return uint16(l)
-}
-
-func (ix *Index) capAt(level uint16) int {
-	if level == 0 {
-		return 2 * int(ix.meta.BNN)
-	}
-	return int(ix.meta.BNN)
-}
-
 // insertLocked adds one vertex. Callers hold ix.mu (Build runs without
 // contention).
 func (ix *Index) insertLocked(v []float32, tid heap.TID) error {
-	pr := ix.ctx.Prof
-	level := ix.randomLevel()
+	level := uint16(min(ix.walk.Level(ix.rng), 30))
 
 	var nbBlk uint32
 	var nbOff uint16
@@ -220,79 +204,8 @@ func (ix *Index) insertLocked(v []float32, tid heap.TID) error {
 		ix.stats.NAdded++
 		return nil
 	}
-
-	ep := ix.meta.Entry
-	epDist, err := ix.distTo(refKern, v, ep)
-	if err != nil {
+	if err := ix.walk.Link(ix.build, v, self, int(level), ix.meta.Entry, int(ix.meta.MaxLevel)); err != nil {
 		return err
-	}
-
-	// GreedyUpdate: descend levels above the new vertex's level.
-	ts := pr.Timer("GreedyUpdate").Start()
-	for lev := uint16(ix.meta.MaxLevel); int32(lev) > int32(level) && lev > 0; lev-- {
-		ep, epDist, err = ix.greedyClosest(refKern, v, ep, epDist, lev)
-		if err != nil {
-			pr.Timer("GreedyUpdate").Stop(ts)
-			return err
-		}
-	}
-	pr.Timer("GreedyUpdate").Stop(ts)
-
-	topLevel := level
-	if int32(topLevel) > ix.meta.MaxLevel {
-		topLevel = uint16(ix.meta.MaxLevel)
-	}
-	for lev := int32(topLevel); lev >= 0; lev-- {
-		ts := pr.Timer("SearchNbToAdd").Start()
-		cands, err := ix.searchLayer(refKern, v, ep, epDist, int(ix.meta.EFB), uint16(lev), nil)
-		pr.Timer("SearchNbToAdd").Stop(ts)
-		if err != nil {
-			return err
-		}
-
-		ts = pr.Timer("ShrinkNbList").Start()
-		selected, err := ix.selectNeighbors(cands, ix.capAt(uint16(lev)))
-		pr.Timer("ShrinkNbList").Stop(ts)
-		if err != nil {
-			return err
-		}
-
-		// AddLink: wire forward and reverse edges. The new vertex's own
-		// lists were freshly allocated, so forward links never overflow;
-		// reverse lists that are full are rebuilt afterwards under the
-		// ShrinkNbList timer, matching Table III's attribution.
-		ts = pr.Timer("AddLink").Start()
-		var overflow []scored
-		for _, s := range selected {
-			if _, err := ix.appendLink(self, s.vid, uint16(lev)); err != nil {
-				pr.Timer("AddLink").Stop(ts)
-				return err
-			}
-			full, err := ix.appendLink(s.vid, self, uint16(lev))
-			if err != nil {
-				pr.Timer("AddLink").Stop(ts)
-				return err
-			}
-			if full {
-				overflow = append(overflow, s)
-			}
-		}
-		pr.Timer("AddLink").Stop(ts)
-
-		if len(overflow) > 0 {
-			ts = pr.Timer("ShrinkNbList").Start()
-			for _, s := range overflow {
-				if err := ix.shrinkWith(s.vid, self, uint16(lev)); err != nil {
-					pr.Timer("ShrinkNbList").Stop(ts)
-					return err
-				}
-			}
-			pr.Timer("ShrinkNbList").Stop(ts)
-		}
-
-		if len(cands) > 0 {
-			ep, epDist = cands[0].vid, cands[0].dist
-		}
 	}
 	if int32(level) > ix.meta.MaxLevel {
 		ix.meta.MaxLevel = int32(level)
@@ -302,142 +215,13 @@ func (ix *Index) insertLocked(v []float32, tid heap.TID) error {
 	return nil
 }
 
-// appendLink writes nb into the first free slot of v's list at level.
-// When the list is already full it writes nothing and returns true so
-// the caller can rebuild the list (with nb included) via shrinkWith.
-func (ix *Index) appendLink(v, nb VID, level uint16) (bool, error) {
-	if ix.meta.Packed {
-		return ix.packedAppendLink(v, nb, level)
-	}
-	blk := v.NbBlk
-	for blk != pase.InvalidBlk {
-		buf, err := ix.ctx.Pool.Pin(ix.ctx.Rel, blk)
-		if err != nil {
-			return false, err
-		}
-		pg := buf.Page()
-		n := pg.NumItems()
-		for i := uint16(1); i <= n; i++ {
-			item, err := pg.Item(i)
-			if err != nil {
-				buf.Release()
-				return false, err
-			}
-			_, slotLevel, used := decodeSlot(item)
-			if slotLevel != level || used {
-				continue
-			}
-			encodeSlot(item, nb, level, true)
-			buf.MarkDirty()
-			buf.Release()
-			return false, nil
-		}
-		next := pase.NextBlk(pg)
-		buf.Release()
-		blk = next
-	}
-	return true, nil // list full; caller rebuilds via shrinkWith
-}
-
-// shrinkWith rebuilds v's adjacency list at level from its current
-// neighbors plus extra, using the diversification heuristic. This is the
-// expensive PASE path: it re-reads every neighbor vector through the
-// buffer pool.
-func (ix *Index) shrinkWith(v, extra VID, level uint16) error {
-	vvec, err := ix.vectorCopy(v)
-	if err != nil {
-		return err
-	}
-	nbs, err := ix.neighborsAt(v, level)
-	if err != nil {
-		return err
-	}
-	cands := make([]scored, 0, len(nbs)+1)
-	seen := map[uint64]bool{extra.key(): true}
-	d, err := ix.distTo(refKern, vvec, extra)
-	if err != nil {
-		return err
-	}
-	cands = append(cands, scored{vid: extra, dist: d})
-	for _, nb := range nbs {
-		if seen[nb.key()] {
-			continue
-		}
-		seen[nb.key()] = true
-		d, err := ix.distTo(refKern, vvec, nb)
-		if err != nil {
-			return err
-		}
-		cands = append(cands, scored{vid: nb, dist: d})
-	}
-	sortScored(cands)
-	selected, err := ix.selectNeighbors(cands, ix.capAt(level))
-	if err != nil {
-		return err
-	}
-	return ix.rewriteLevel(v, level, selected)
-}
-
-// rewriteLevel clears every slot of v's list at level and refills them
-// with the selected neighbors.
-func (ix *Index) rewriteLevel(v VID, level uint16, selected []scored) error {
-	if ix.meta.Packed {
-		return ix.packedRewriteLevel(v, level, selected)
-	}
-	idx := 0
-	blk := v.NbBlk
-	for blk != pase.InvalidBlk {
-		buf, err := ix.ctx.Pool.Pin(ix.ctx.Rel, blk)
-		if err != nil {
-			return err
-		}
-		pg := buf.Page()
-		n := pg.NumItems()
-		dirty := false
-		for i := uint16(1); i <= n; i++ {
-			item, err := pg.Item(i)
-			if err != nil {
-				buf.Release()
-				return err
-			}
-			_, slotLevel, _ := decodeSlot(item)
-			if slotLevel != level {
-				continue
-			}
-			if idx < len(selected) {
-				encodeSlot(item, selected[idx].vid, level, true)
-				idx++
-			} else {
-				encodeSlot(item, InvalidVID, level, false)
-			}
-			dirty = true
-		}
-		if dirty {
-			buf.MarkDirty()
-		}
-		next := pase.NextBlk(pg)
-		buf.Release()
-		blk = next
-	}
-	if idx < len(selected) {
-		return fmt.Errorf("pase/hnsw: %d selected neighbors but only %d slots at level %d", len(selected), idx, level)
-	}
-	return nil
-}
-
 // allocNeighborPages allocates the vertex's adjacency pages — always
-// starting from a fresh page (RC#4) — pre-filling empty 24-byte slots for
-// every level up to the vertex's level.
+// starting from a fresh page (RC#4) — one empty 24-byte slot item for
+// every slot of every level up to the vertex's level.
 func (ix *Index) allocNeighborPages(level uint16) (uint32, error) {
 	ctx := ix.ctx
-	totalSlots := ix.capAt(0)
-	for l := uint16(1); l <= level; l++ {
-		totalSlots += ix.capAt(l)
-	}
-	slot := make([]byte, neighborTupleSize)
-	var firstBlk = pase.InvalidBlk
+	firstBlk := pase.InvalidBlk
 	var cur *buffer.Buf
-	var curBlk uint32
 	newPage := func() error {
 		buf, blk, err := ctx.Pool.NewPage(ctx.Rel)
 		if err != nil {
@@ -460,18 +244,15 @@ func (ix *Index) allocNeighborPages(level uint16) (uint32, error) {
 		} else {
 			firstBlk = blk
 		}
-		cur, curBlk = buf, blk
+		cur = buf
 		return nil
 	}
 	if err := newPage(); err != nil {
 		return 0, err
 	}
-	written := 0
-	curLevel := uint16(0)
-	remainingAtLevel := ix.capAt(0)
-	for written < totalSlots {
-		encodeSlot(slot, InvalidVID, curLevel, false)
-		if _, err := cur.Page().AddItem(slot); err != nil {
+	slots := ix.emptySlots(level)
+	for off := 0; off < len(slots); {
+		if _, err := cur.Page().AddItem(slots[off : off+neighborTupleSize]); err != nil {
 			if !errors.Is(err, page.ErrPageFull) {
 				cur.Release()
 				return 0, err
@@ -481,55 +262,80 @@ func (ix *Index) allocNeighborPages(level uint16) (uint32, error) {
 			}
 			continue
 		}
-		written++
-		remainingAtLevel--
-		if remainingAtLevel == 0 && written < totalSlots {
-			curLevel++
-			remainingAtLevel = ix.capAt(curLevel)
-		}
+		off += neighborTupleSize
 	}
 	cur.MarkDirty()
 	cur.Release()
-	_ = curBlk
 	return firstBlk, nil
+}
+
+// allocPackedBlob implements the *packed* adjacency layout — the paper's
+// "memory-optimized table design" future direction (Sec IX-C Step#1,
+// bridging RC#4). Instead of a fresh page per vertex holding one 24-byte
+// item per neighbor slot, each vertex's entire adjacency state is a
+// single blob item (totalSlots × 24 bytes) appended to a shared page.
+// Multiple vertices share pages, so the space overhead drops from ~1 page
+// per vertex to the blob payload itself, and a vertex's whole
+// neighborhood is read with one pin + one line-pointer lookup (eachSlot
+// walks both layouts). It appends an all-empty adjacency blob for a new
+// vertex, sharing pages with earlier vertices, and returns its location.
+func (ix *Index) allocPackedBlob(level uint16) (uint32, uint16, error) {
+	blob := ix.emptySlots(level)
+	blk, off, err := ix.appendItem(&ix.meta.LastNbBlk, blob)
+	if errors.Is(err, page.ErrPageFull) {
+		err = fmt.Errorf("pase/hnsw: adjacency blob of %d bytes does not fit a %d-byte page; use the chained layout for this bnn", len(blob), ix.ctx.Pool.PageSize())
+	}
+	return blk, off, err
 }
 
 // appendData stores the vector entry in the shared data pages, returning
 // its location.
 func (ix *Index) appendData(tid heap.TID, nbBlk uint32, nbOff, level uint16, v []float32) (uint32, uint16, error) {
-	ctx := ix.ctx
 	entry := make([]byte, dataEntryHeaderSize+len(v)*4)
 	encodeDataEntry(entry, tid, nbBlk, nbOff, level, v)
+	blk, off, err := ix.appendItem(&ix.meta.LastDataBlk, entry)
+	if errors.Is(err, page.ErrPageFull) {
+		err = fmt.Errorf("pase/hnsw: data entry does not fit an empty page: %w", err)
+	}
+	return blk, off, err
+}
 
-	if ix.meta.LastDataBlk != pase.InvalidBlk {
-		buf, err := ctx.Pool.Pin(ctx.Rel, ix.meta.LastDataBlk)
+// appendItem adds item to the page *hint names or, when that is full, to
+// a fresh page it then names: the append path of the pages vertices
+// share, data entries and packed adjacency blobs. page.ErrPageFull means
+// item does not fit even an empty page.
+func (ix *Index) appendItem(hint *uint32, item []byte) (uint32, uint16, error) {
+	ctx := ix.ctx
+	if *hint != pase.InvalidBlk {
+		buf, err := ctx.Pool.Pin(ctx.Rel, *hint)
 		if err != nil {
 			return 0, 0, err
 		}
-		if off, err := buf.Page().AddItem(entry); err == nil {
+		off, err := buf.Page().AddItem(item)
+		if err == nil {
 			buf.MarkDirty()
-			blk := ix.meta.LastDataBlk
-			buf.Release()
-			return blk, off, nil
-		} else if !errors.Is(err, page.ErrPageFull) {
-			buf.Release()
-			return 0, 0, err
 		}
 		buf.Release()
+		if err == nil {
+			return *hint, off, nil
+		}
+		if !errors.Is(err, page.ErrPageFull) {
+			return 0, 0, err
+		}
 	}
 	buf, blk, err := ctx.Pool.NewPage(ctx.Rel)
 	if err != nil {
 		return 0, 0, err
 	}
 	page.Init(buf.Page(), 0)
-	off, err := buf.Page().AddItem(entry)
+	off, err := buf.Page().AddItem(item)
 	if err != nil {
 		buf.Release()
-		return 0, 0, fmt.Errorf("pase/hnsw: data entry does not fit an empty page: %w", err)
+		return 0, 0, err
 	}
 	buf.MarkDirty()
 	buf.Release()
-	ix.meta.LastDataBlk = blk
+	*hint = blk
 	return blk, off, nil
 }
 
@@ -547,27 +353,13 @@ func (ix *Index) saveMeta() error {
 	return err
 }
 
-// scored pairs a vertex with its distance to the current query point.
-type scored struct {
-	vid  VID
-	dist float32
-}
-
-func sortScored(s []scored) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].dist < s[j-1].dist; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// vectorCopy reads a vertex's vector out of its data page.
-func (ix *Index) vectorCopy(v VID) ([]float32, error) {
-	out := make([]float32, ix.meta.Dim)
+// vectorCopy reads a vertex's vector out of its data page into dst.
+func (ix *Index) vectorCopy(v VID, dst []float32) ([]float32, error) {
+	dst = dst[:0]
 	err := ix.withVector(v, func(vecView []float32) {
-		copy(out, vecView)
+		dst = append(dst, vecView...)
 	})
-	return out, err
+	return dst, err
 }
 
 // withVector pins the vertex's data page and exposes its vector in place
@@ -595,19 +387,7 @@ func (ix *Index) withVector(v VID, fn func([]float32)) error {
 
 // tidOf returns the heap TID stored with a vertex.
 func (ix *Index) tidOf(v VID) (heap.TID, error) {
-	var tid heap.TID
-	ts := ix.tTuple.Start()
-	buf, err := ix.ctx.Pool.Pin(ix.ctx.Rel, v.DataBlk)
-	if err != nil {
-		ix.tTuple.Stop(ts)
-		return tid, err
-	}
-	item, err := buf.Page().Item(v.DataOff)
-	if err == nil {
-		tid, _, _, _, _ = decodeDataEntry(item)
-	}
-	ix.tTuple.Stop(ts)
-	buf.Release()
+	tid, _, _, err := ix.entryState(v)
 	return tid, err
 }
 
@@ -629,190 +409,190 @@ func (ix *Index) distTo(kern vec.Kernel, query []float32, v VID) (float32, error
 	return d, err
 }
 
-// neighborsAt collects the used slots of v's list at level. The chain
-// walk and per-item fetches are the pasepfirst cost in Fig 8.
-func (ix *Index) neighborsAt(v VID, level uint16) ([]VID, error) {
-	if ix.meta.Packed {
-		return ix.packedNeighborsAt(v, level)
-	}
-	ts := ix.tNb.Start()
-	defer ix.tNb.Stop(ts)
-	var out []VID
-	blk := v.NbBlk
-	for blk != pase.InvalidBlk {
+// eachSlot hands fn v's 24-byte adjacency slots in order, in place: under
+// each chain page's pin in the paged layout (RC#4), under the blob's one
+// pin in the packed layout. fn reports whether it wrote the slot and
+// whether the walk is done; the pages it wrote are marked dirty.
+func (ix *Index) eachSlot(v VID, fn func(slot []byte) (wrote, done bool)) error {
+	done := false
+	for blk := v.NbBlk; blk != pase.InvalidBlk && !done; {
 		buf, err := ix.ctx.Pool.Pin(ix.ctx.Rel, blk)
-		if err != nil {
-			return nil, err
-		}
-		pg := buf.Page()
-		n := pg.NumItems()
-		for i := uint16(1); i <= n; i++ {
-			item, err := pg.Item(i)
-			if err != nil {
-				buf.Release()
-				return nil, err
-			}
-			nb, slotLevel, used := decodeSlot(item)
-			if used && slotLevel == level {
-				out = append(out, nb)
-			}
-		}
-		next := pase.NextBlk(pg)
-		buf.Release()
-		blk = next
-	}
-	return out, nil
-}
-
-// greedyClosest walks one level moving to strictly closer neighbors.
-func (ix *Index) greedyClosest(kern vec.Kernel, query []float32, ep VID, epDist float32, level uint16) (VID, float32, error) {
-	for {
-		nbs, err := ix.neighborsAt(ep, level)
-		if err != nil {
-			return ep, epDist, err
-		}
-		improved := false
-		for _, nb := range nbs {
-			d, err := ix.distTo(kern, query, nb)
-			if err != nil {
-				return ep, epDist, err
-			}
-			if d < epDist {
-				ep, epDist = nb, d
-				improved = true
-			}
-		}
-		if !improved {
-			return ep, epDist, nil
-		}
-	}
-}
-
-// searchLayer is the beam search at one level. The visited set is a hash
-// map over global IDs — PASE's HVTGet — timed separately. A non-nil pred
-// makes the search filtering: traversal still explores every neighbor
-// (connectivity must not depend on the predicate, or the beam strands in
-// filtered-out regions), but only predicate-satisfying vertices enter
-// the result heap — in-traversal filtered kNN, the way filtered HNSW
-// variants gate the result set.
-func (ix *Index) searchLayer(kern vec.Kernel, query []float32, ep VID, epDist float32, ef int, level uint16, pred am.Predicate) ([]scored, error) {
-	visited := make(map[uint64]struct{}, 4*ef)
-	visited[ep.key()] = struct{}{}
-
-	results := minheap.NewTopK(ef)
-	byID := make(map[int64]VID, 4*ef)
-	push := func(v VID, d float32) error {
-		tid, _, dead, err := ix.entryState(v)
 		if err != nil {
 			return err
 		}
-		if dead {
-			// Tombstoned vertex: traversal still routes through it (its
-			// edges keep the graph connected until Maintain repairs the
-			// neighborhood), but it never surfaces as a result.
-			return nil
+		pg := buf.Page()
+		// A chain page holds one slot per item; a packed vertex is the
+		// one blob item at NbOff, and its page belongs to no chain.
+		first, last, next := v.NbOff, v.NbOff, pase.InvalidBlk
+		if !ix.meta.Packed {
+			first, last, next = 1, pg.NumItems(), pase.NextBlk(pg)
 		}
-		if pred != nil {
-			ok, err := pred(tid)
+		dirty := false
+		for i := first; i <= last && !done; i++ {
+			item, err := pg.Item(i)
 			if err != nil {
+				buf.Release()
 				return err
 			}
-			if !ok {
-				return nil
+			for off := 0; off+neighborTupleSize <= len(item) && !done; off += neighborTupleSize {
+				var wrote bool
+				wrote, done = fn(item[off : off+neighborTupleSize])
+				dirty = dirty || wrote
 			}
 		}
-		id := int64(v.key())
-		byID[id] = v
-		results.Push(id, d)
-		return nil
-	}
-	if err := push(ep, epDist); err != nil {
-		return nil, err
-	}
-
-	cq := newCandQueue()
-	cq.push(ep, epDist)
-
-	for cq.len() > 0 {
-		cur, curDist := cq.pop()
-		if worst, full := results.Worst(); full && curDist > worst {
-			break
+		if dirty {
+			buf.MarkDirty()
 		}
-		nbs, err := ix.neighborsAt(cur, level)
-		if err != nil {
-			return nil, err
+		buf.Release()
+		blk = next
+	}
+	return nil
+}
+
+// neighborsAt appends the used slots of v's list at level to dst. The
+// slot walk is the pasepfirst cost in Fig 8.
+func (ix *Index) neighborsAt(v VID, level uint16, dst []VID) ([]VID, error) {
+	ts := ix.tNb.Start()
+	err := ix.eachSlot(v, func(slot []byte) (bool, bool) {
+		if nb, slotLevel, used := decodeSlot(slot); used && slotLevel == level {
+			dst = append(dst, nb)
 		}
-		for _, nb := range nbs {
+		return false, false
+	})
+	ix.tNb.Stop(ts)
+	return dst, err
+}
+
+// graph is the Index as the walk sees it. Every vector read is a tuple
+// access through the buffer pool (RC#2), every list a slot walk over the
+// vertex's pages (RC#4), and the visited set a hash over global IDs
+// (PASE's HVTGet) rather than Faiss's epoch array. Tombstoned vertices,
+// and on a filtered scan the rows pred rejects, are routed through but
+// never admitted: connectivity must not depend on the predicate, or the
+// beam strands in filtered-out regions.
+type graph struct {
+	ix      *Index
+	kern    vec.Kernel
+	pred    am.Predicate
+	ef      int // sizes the visited set
+	visited map[uint64]struct{}
+	// nbs is neighborsAt's buffer; vbuf and cbuf hold the copies Vector
+	// and Occluded read out of the data pages.
+	nbs        []VID
+	vbuf, cbuf []float32
+}
+
+var _ hnswalk.Graph[VID] = (*graph)(nil)
+
+func (g *graph) Dist(q []float32, v VID) (float32, error) { return g.ix.distTo(g.kern, q, v) }
+
+func (g *graph) Begin(ep VID) {
+	if g.visited == nil {
+		g.visited = make(map[uint64]struct{}, 4*g.ef)
+	} else {
+		clear(g.visited)
+	}
+	g.visited[ep.key()] = struct{}{}
+}
+
+func (g *graph) Expand(q []float32, v VID, level int, visit bool, dst []hnswalk.Scored[VID]) ([]hnswalk.Scored[VID], error) {
+	ix := g.ix
+	nbs, err := ix.neighborsAt(v, uint16(level), g.nbs[:0])
+	g.nbs = nbs
+	if err != nil {
+		return dst, err
+	}
+	for _, nb := range nbs {
+		if visit {
 			ts := ix.tVisit.Start()
-			_, seen := visited[nb.key()]
+			_, seen := g.visited[nb.key()]
 			if !seen {
-				visited[nb.key()] = struct{}{}
+				g.visited[nb.key()] = struct{}{}
 			}
 			ix.tVisit.Stop(ts)
 			if seen {
 				continue
 			}
-			d, err := ix.distTo(kern, query, nb)
-			if err != nil {
-				return nil, err
-			}
-			if worst, full := results.Worst(); !full || d < worst {
-				if err := push(nb, d); err != nil {
-					return nil, err
-				}
-				cq.push(nb, d)
-			}
 		}
+		d, err := ix.distTo(g.kern, q, nb)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, hnswalk.Scored[VID]{V: nb, Dist: d})
 	}
-	items := results.Results()
-	out := make([]scored, len(items))
-	for i, it := range items {
-		out[i] = scored{vid: byID[it.ID], dist: it.Dist}
-	}
-	return out, nil
+	return dst, nil
 }
 
-// selectNeighbors applies the HNSW diversification heuristic; distances
-// between candidates require further tuple accesses, unlike Faiss's
-// array reads.
-func (ix *Index) selectNeighbors(cands []scored, capacity int) ([]scored, error) {
-	if len(cands) <= capacity {
-		return cands, nil
+func (g *graph) Admit(v VID) (bool, error) {
+	tid, _, dead, err := g.ix.entryState(v)
+	if err != nil || dead {
+		return false, err
 	}
-	kept := make([]scored, 0, capacity)
-	var rejected []scored
-	for _, c := range cands {
-		if len(kept) >= capacity {
-			break
+	if g.pred == nil {
+		return true, nil
+	}
+	return g.pred(tid)
+}
+
+func (g *graph) Key(v VID) int64 { return int64(v.key()) }
+
+// Occluded pays a tuple access per vector it compares, unlike Faiss's
+// array reads; the arithmetic is not charged to fvec_L2sqr.
+func (g *graph) Occluded(c hnswalk.Scored[VID], kept []hnswalk.Scored[VID]) (bool, error) {
+	cvec, err := g.ix.vectorCopy(c.V, g.cbuf)
+	g.cbuf = cvec
+	if err != nil {
+		return false, err
+	}
+	for _, s := range kept {
+		var d float32
+		if err := g.ix.withVector(s.V, func(view []float32) {
+			d = g.kern.L2Sqr(cvec, view)
+		}); err != nil {
+			return false, err
 		}
-		cvec, err := ix.vectorCopy(c.vid)
-		if err != nil {
-			return nil, err
+		if d < c.Dist {
+			return true, nil
 		}
-		diverse := true
-		for _, s := range kept {
-			var d float32
-			if err := ix.withVector(s.vid, func(view []float32) {
-				d = refKern.L2Sqr(cvec, view)
-			}); err != nil {
-				return nil, err
-			}
-			if d < c.dist {
-				diverse = false
-				break
-			}
+	}
+	return false, nil
+}
+
+func (g *graph) Vector(v VID) ([]float32, error) {
+	vec, err := g.ix.vectorCopy(v, g.vbuf)
+	g.vbuf = vec
+	return vec, err
+}
+
+func (g *graph) AddLink(v, nb VID, level int) (bool, error) {
+	lev, full := uint16(level), true
+	err := g.ix.eachSlot(v, func(slot []byte) (bool, bool) {
+		if _, slotLevel, used := decodeSlot(slot); slotLevel != lev || used {
+			return false, false
 		}
-		if diverse {
-			kept = append(kept, c)
+		encodeSlot(slot, nb, lev, true)
+		full = false
+		return true, true
+	})
+	return full, err
+}
+
+func (g *graph) Rewrite(v VID, level int, list []hnswalk.Scored[VID]) error {
+	lev, i := uint16(level), 0
+	err := g.ix.eachSlot(v, func(slot []byte) (bool, bool) {
+		if _, slotLevel, _ := decodeSlot(slot); slotLevel != lev {
+			return false, false
+		}
+		if i < len(list) {
+			encodeSlot(slot, list[i].V, lev, true)
+			i++
 		} else {
-			rejected = append(rejected, c)
+			encodeSlot(slot, InvalidVID, lev, false)
 		}
+		return true, false
+	})
+	if err == nil && i < len(list) {
+		err = fmt.Errorf("pase/hnsw: %d selected neighbors but only %d slots at level %d", len(list), i, level)
 	}
-	for _, r := range rejected {
-		if len(kept) >= capacity {
-			break
-		}
-		kept = append(kept, r)
-	}
-	return kept, nil
+	return err
 }

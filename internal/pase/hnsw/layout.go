@@ -85,6 +85,21 @@ func decodeSlot(b []byte) (nb VID, level uint16, used bool) {
 	return
 }
 
+// emptySlots returns a new vertex's adjacency slots, every one free:
+// 2·bnn at level 0, then bnn per level up to level. The packed layout
+// stores them as one blob item, the paged layout one item per slot.
+func (ix *Index) emptySlots(level uint16) []byte {
+	var slots []byte
+	slot := make([]byte, neighborTupleSize)
+	for l := uint16(0); l <= level; l++ {
+		encodeSlot(slot, InvalidVID, l, false)
+		for range ix.walk.Capacity(int(l)) {
+			slots = append(slots, slot...)
+		}
+	}
+	return slots
+}
+
 // data entry layout: heap TID (6) + pad (2) + nblkid (4) + level (2) +
 // nboff (2), then the vector at a MAXALIGN-compatible offset.
 const dataEntryHeaderSize = 16

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"vecstudy/internal/hnswalk"
 	"vecstudy/internal/pg/am"
 )
 
@@ -44,32 +45,27 @@ func (ix *Index) scanOne(q am.Query, opts *am.ScanOpts) ([]am.Result, error) {
 		// Maintain unlinked the entry point: zero rows, not an error.
 		return nil, nil
 	}
-	kern := opts.Kernel
-	ep := ix.meta.Entry
-	epDist, err := ix.distTo(kern, q.Vec, ep)
+	ef := max(opts.EFS, q.K)
+	s := &scan{graph: graph{ix: ix, kern: opts.Kernel, pred: q.Pred, ef: ef}}
+	cands, err := s.walk.Knn(&s.graph, q.Vec, ix.meta.Entry, int(ix.meta.MaxLevel), ef)
 	if err != nil {
 		return nil, err
 	}
-	for lev := ix.meta.MaxLevel; lev > 0; lev-- {
-		ep, epDist, err = ix.greedyClosest(kern, q.Vec, ep, epDist, uint16(lev))
+	out := make([]am.Result, min(q.K, len(cands)))
+	for i := range out {
+		tid, err := ix.tidOf(cands[i].V)
 		if err != nil {
 			return nil, err
 		}
-	}
-	cands, err := ix.searchLayer(kern, q.Vec, ep, epDist, max(opts.EFS, q.K), 0, q.Pred)
-	if err != nil {
-		return nil, err
-	}
-	if len(cands) > q.K {
-		cands = cands[:q.K]
-	}
-	out := make([]am.Result, len(cands))
-	for i, c := range cands {
-		tid, err := ix.tidOf(c.vid)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = am.Result{TID: tid, Dist: c.dist}
+		out[i] = am.Result{TID: tid, Dist: cands[i].Dist}
 	}
 	return out, nil
+}
+
+// scan is one query's walk over the graph, with the session's kernel and
+// the query's predicate: scans run concurrently, so each has its own
+// visited set and buffers.
+type scan struct {
+	graph
+	walk hnswalk.Walker[VID]
 }

@@ -21,64 +21,6 @@ import (
 	"math"
 )
 
-// Metric identifies a similarity function. The paper's experiments use
-// Euclidean (L2) distance exclusively; inner product and cosine are
-// provided because PASE and Faiss both expose them.
-type Metric int
-
-const (
-	// L2 is squared Euclidean distance (smaller is more similar).
-	L2 Metric = iota
-	// InnerProduct is negative inner product (so smaller is more similar,
-	// keeping min-heap logic uniform across metrics).
-	InnerProduct
-	// Cosine is 1 − cosine similarity.
-	Cosine
-)
-
-// String returns the SQL-facing name of the metric.
-func (m Metric) String() string {
-	switch m {
-	case L2:
-		return "l2"
-	case InnerProduct:
-		return "ip"
-	case Cosine:
-		return "cosine"
-	default:
-		return fmt.Sprintf("metric(%d)", int(m))
-	}
-}
-
-// ParseMetric converts a SQL-facing metric name ("l2", "ip", "cosine") or a
-// PASE-style numeric code ("0", "1", "2") into a Metric.
-func ParseMetric(s string) (Metric, error) {
-	switch s {
-	case "l2", "0", "euclidean":
-		return L2, nil
-	case "ip", "1", "inner_product":
-		return InnerProduct, nil
-	case "cosine", "2":
-		return Cosine, nil
-	}
-	return 0, fmt.Errorf("vec: unknown metric %q", s)
-}
-
-// Distance computes the metric-appropriate dissimilarity between x and y.
-// Both slices must have equal length.
-func Distance(m Metric, x, y []float32) float32 {
-	switch m {
-	case L2:
-		return L2Sqr(x, y)
-	case InnerProduct:
-		return -Dot(x, y)
-	case Cosine:
-		return CosineDistance(x, y)
-	default:
-		panic("vec: invalid metric")
-	}
-}
-
 // L2SqrRef computes squared Euclidean distance with a plain scalar loop.
 // This is the PASE-style reference kernel (fvec_L2sqr_ref in the paper);
 // it is deliberately not unrolled.
@@ -138,17 +80,6 @@ func Norm2(x []float32) float32 { return Dot(x, x) }
 
 // Norm returns the L2 norm of x.
 func Norm(x []float32) float32 { return float32(math.Sqrt(float64(Norm2(x)))) }
-
-// CosineDistance returns 1 − cos(x, y). Zero vectors are treated as
-// maximally distant (distance 1).
-func CosineDistance(x, y []float32) float32 {
-	dot := Dot(x, y)
-	nx, ny := Norm2(x), Norm2(y)
-	if nx == 0 || ny == 0 {
-		return 1
-	}
-	return 1 - dot/float32(math.Sqrt(float64(nx)*float64(ny)))
-}
 
 // Norms2 computes the squared norms of n row vectors stored contiguously in
 // data (row-major, d columns), writing them into out. out must have length

@@ -81,48 +81,6 @@ func TestNormIdentities(t *testing.T) {
 	}
 }
 
-func TestCosineDistance(t *testing.T) {
-	x := []float32{1, 0}
-	if got := CosineDistance(x, []float32{2, 0}); !almostEqual(float64(got), 0, 1e-6) {
-		t.Errorf("cosine distance of parallel vectors = %v, want 0", got)
-	}
-	if got := CosineDistance(x, []float32{0, 3}); !almostEqual(float64(got), 1, 1e-6) {
-		t.Errorf("cosine distance of orthogonal vectors = %v, want 1", got)
-	}
-	if got := CosineDistance(x, []float32{-1, 0}); !almostEqual(float64(got), 2, 1e-6) {
-		t.Errorf("cosine distance of opposite vectors = %v, want 2", got)
-	}
-	if got := CosineDistance(x, []float32{0, 0}); got != 1 {
-		t.Errorf("cosine distance with zero vector = %v, want 1", got)
-	}
-}
-
-func TestDistanceDispatch(t *testing.T) {
-	x, y := []float32{1, 2}, []float32{3, 4}
-	if got, want := Distance(L2, x, y), L2Sqr(x, y); got != want {
-		t.Errorf("Distance(L2) = %v, want %v", got, want)
-	}
-	if got, want := Distance(InnerProduct, x, y), -Dot(x, y); got != want {
-		t.Errorf("Distance(IP) = %v, want %v", got, want)
-	}
-	if got, want := Distance(Cosine, x, y), CosineDistance(x, y); got != want {
-		t.Errorf("Distance(Cosine) = %v, want %v", got, want)
-	}
-}
-
-func TestParseMetric(t *testing.T) {
-	cases := map[string]Metric{"l2": L2, "0": L2, "ip": InnerProduct, "1": InnerProduct, "cosine": Cosine, "2": Cosine}
-	for s, want := range cases {
-		got, err := ParseMetric(s)
-		if err != nil || got != want {
-			t.Errorf("ParseMetric(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseMetric("hamming"); err == nil {
-		t.Error("ParseMetric accepted unknown metric")
-	}
-}
-
 func TestArgmin(t *testing.T) {
 	i, v := Argmin([]float32{3, 1, 2})
 	if i != 1 || v != 1 {
