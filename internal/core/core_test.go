@@ -28,21 +28,34 @@ func TestCompareBothIVFFlat(t *testing.T) {
 	ds := testutil.SmallDataset(t)
 	p := Defaults(ds)
 	p.K = 10
-	cmp, err := CompareBoth(IVFFlat, ds, p)
-	if err != nil {
-		t.Fatal(err)
+	// The timing orders below are judged on the minimum of three runs
+	// per side, cmd/kernelgate's statistic: one wall-clock sample of a
+	// 10 ms phase flips when a parallel go test ./... shares the cores.
+	var cmp Comparison
+	var specAdd, genAdd, specSearch, genSearch time.Duration
+	for i := 0; i < 3; i++ {
+		c, err := CompareBoth(IVFFlat, ds, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			cmp = c
+			specAdd, genAdd = c.Specialized.AddTime, c.Generalized.AddTime
+			specSearch, genSearch = c.SpecSearch.Total, c.GenSearch.Total
+		}
+		specAdd, genAdd = min(specAdd, c.Specialized.AddTime), min(genAdd, c.Generalized.AddTime)
+		specSearch, genSearch = min(specSearch, c.SpecSearch.Total), min(genSearch, c.GenSearch.Total)
 	}
 	// Shape assertions from the paper. At this tiny test scale the
 	// K-means training sample covers most of the data, so total build
 	// time is training-dominated and regime-dependent; the scale-free
 	// invariant is the *adding phase* (RC#1: SGEMM-batched vs naive
 	// assignment), which Fig 3 shows dominating at paper scale.
-	if cmp.Specialized.AddTime >= cmp.Generalized.AddTime {
-		t.Errorf("generalized adding phase should be slower: spec %v vs gen %v",
-			cmp.Specialized.AddTime, cmp.Generalized.AddTime)
+	if specAdd >= genAdd {
+		t.Errorf("generalized adding phase should be slower: spec %v vs gen %v (min of 3)", specAdd, genAdd)
 	}
-	if cmp.SearchGapX() <= 1 {
-		t.Errorf("generalized IVF_FLAT search should be slower (gap %.2fx)", cmp.SearchGapX())
+	if gap := Gap(specSearch, genSearch); gap <= 1 {
+		t.Errorf("generalized IVF_FLAT search should be slower (gap %.2fx, min of 3)", gap)
 	}
 	if cmp.SpecSearch.Recall < 0.8 || cmp.GenSearch.Recall < 0.7 {
 		t.Errorf("recalls too low: spec %.3f gen %.3f", cmp.SpecSearch.Recall, cmp.GenSearch.Recall)

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,8 @@ import (
 // properties under test: the parser never panics, never returns a nil
 // statement without an error, and accepts every statement shape the
 // executor supports (the seed corpus) so regressions in the grammar
-// surface as corpus failures rather than silence.
+// surface as corpus failures rather than silence. Each input is also
+// read as a vector literal against the split-and-ParseFloat reference.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"CREATE TABLE t (id int, vec float[])",
@@ -36,6 +38,17 @@ func FuzzParse(f *testing.F) {
 		"'unterminated",
 		"SELECT * FROM t WHERE id = 99999999999999999999999999",
 		"\x00\x01\x02",
+		// Vector literals: brackets, exponents, signed zeros, denormals,
+		// infinities, whitespace, and escaped quotes in strings.
+		"SELECT id FROM t ORDER BY vec <-> '[1.5e-3, -0, +2E+2, 0.000001]' LIMIT 3",
+		"SELECT id FROM t ORDER BY vec <-> ' { 1e-45 ,\t-1.4e-45,\n3.4028235e38 } ' LIMIT 1",
+		"SELECT id FROM t ORDER BY vec <-> '{inf, -Inf, NaN, 1_0, 0x1p-2}' LIMIT 1",
+		"SELECT id FROM t ORDER BY vec <-> '{1.,.5,-.25,12345678,123456789,1e11,1e-11}' LIMIT 1",
+		"SELECT id FROM t ORDER BY vec <-> '{1,,2}' LIMIT 1",
+		"INSERT INTO t VALUES (1, 'it''s', '{0.1, 0.2}')",
+		"SELECT id FROM t WHERE name = '''' LIMIT 1",
+		"{1.25, -0, 5e-324, 1.17549435e-38}",
+		" [ 7 , 8.5e+1 ] ",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -52,6 +65,18 @@ func FuzzParse(f *testing.F) {
 		// from the input into the message (they end up in wire frames).
 		if err != nil && strings.ContainsRune(err.Error(), '\x00') {
 			t.Fatalf("Parse(%q) error message contains NUL: %q", src, err)
+		}
+		// Read as a vector literal, the input must give exactly what
+		// splitting it and strconv.ParseFloat(part, 32) give.
+		got, gotOK := parseVectorLiteral(src)
+		want, wantOK := splitVectorLiteral(src)
+		if gotOK != wantOK || len(got) != len(want) {
+			t.Fatalf("parseVectorLiteral(%q) = (%v, %v), want (%v, %v)", src, got, gotOK, want, wantOK)
+		}
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("parseVectorLiteral(%q)[%d] = %v, want %v", src, i, got[i], want[i])
+			}
 		}
 	})
 }

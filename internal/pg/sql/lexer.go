@@ -87,26 +87,34 @@ func (l *lexer) skipSpace() {
 	}
 }
 
+// lexString reads a single-quoted string. The token's text is a slice
+// of the source unless the body holds an escaped (doubled) quote, the
+// only case that needs a copy.
 func (l *lexer) lexString() error {
 	start := l.pos
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				b.WriteByte('\'') // escaped quote
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: b.String(), pos: start})
-			return nil
+	l.pos++        // opening quote
+	var esc []byte // the unescaped body so far, once a doubled quote was seen
+	from := l.pos
+	for {
+		i := strings.IndexByte(l.src[l.pos:], '\'')
+		if i < 0 {
+			return fmt.Errorf("sql: unterminated string starting at %d", start)
 		}
-		b.WriteByte(c)
-		l.pos++
+		l.pos += i
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+			esc = append(esc, l.src[from:l.pos+1]...) // through one quote
+			l.pos += 2
+			from = l.pos
+			continue
+		}
+		text := l.src[from:l.pos]
+		if esc != nil {
+			text = string(append(esc, text...))
+		}
+		l.pos++ // closing quote
+		l.toks = append(l.toks, token{kind: tokString, text: text, pos: start})
+		return nil
 	}
-	return fmt.Errorf("sql: unterminated string starting at %d", start)
 }
 
 func (l *lexer) lexNumber() {

@@ -308,7 +308,11 @@ func (p *parser) acceptCast() {
 	}
 }
 
-// parseVectorLiteral parses '{0.1,0.2}' or '0.1,0.2' forms.
+// parseVectorLiteral parses '{0.1,0.2}', '[0.1,0.2]' or '0.1,0.2' in
+// one pass, without splitting s into parts. Every element reads as
+// strconv.ParseFloat(strings.TrimSpace(element), 32) would read it:
+// scanFloat32 takes the plain decimals whose value one float32
+// operation gives exactly, and ParseFloat reads every other element.
 func parseVectorLiteral(s string) ([]float32, bool) {
 	trimmed := strings.TrimSpace(s)
 	trimmed = strings.TrimPrefix(trimmed, "{")
@@ -318,16 +322,116 @@ func parseVectorLiteral(s string) ([]float32, bool) {
 	if trimmed == "" {
 		return nil, false
 	}
-	parts := strings.Split(trimmed, ",")
-	out := make([]float32, len(parts))
-	for i, part := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 32)
-		if err != nil {
-			return nil, false
+	out := make([]float32, 0, strings.Count(trimmed, ",")+1)
+	for i := 0; ; {
+		v, end, ok := scanFloat32(trimmed, i)
+		if !ok {
+			end = len(trimmed)
+			if j := strings.IndexByte(trimmed[i:], ','); j >= 0 {
+				end = i + j
+			}
+			f, err := strconv.ParseFloat(strings.TrimSpace(trimmed[i:end]), 32)
+			if err != nil {
+				return nil, false
+			}
+			v = float32(f)
 		}
-		out[i] = float32(v)
+		out = append(out, v)
+		if end == len(trimmed) {
+			return out, true
+		}
+		i = end + 1 // past the comma
 	}
-	return out, true
+}
+
+// float32pow10 holds the powers of ten a float32 represents exactly.
+var float32pow10 = [...]float32{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
+
+// scanFloat32 reads the element of s that starts at i when it is a
+// plain decimal — ASCII space, a sign, at most 19 digits with at most
+// one point, an exponent, ASCII space — with a mantissa below 2^24 and
+// a power of ten within ±10. Both are then exact float32s, so the one
+// multiply or divide rounds exactly as strconv.ParseFloat(…, 32) does
+// (strconv's own exact path). end is the index of the comma that ends
+// the element, or len(s). ok is false for any other element.
+func scanFloat32(s string, i int) (v float32, end int, ok bool) {
+	for i < len(s) && asciiSpace(s[i]) {
+		i++
+	}
+	neg := false
+	if i < len(s) && (s[i] == '+' || s[i] == '-') {
+		neg = s[i] == '-'
+		i++
+	}
+	var mant uint64
+	digits, exp10, sawDot := 0, 0, false
+	for ; i < len(s); i++ {
+		c := s[i]
+		if c >= '0' && c <= '9' {
+			if digits == 19 {
+				return 0, 0, false
+			}
+			mant = mant*10 + uint64(c-'0')
+			digits++
+			if sawDot {
+				exp10--
+			}
+			continue
+		}
+		if c == '.' && !sawDot {
+			sawDot = true
+			continue
+		}
+		break
+	}
+	if digits == 0 {
+		return 0, 0, false
+	}
+	if i < len(s) && s[i]|0x20 == 'e' {
+		i++
+		eneg := false
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			eneg = s[i] == '-'
+			i++
+		}
+		e, edigits := 0, 0
+		for ; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
+			if edigits == 4 {
+				return 0, 0, false
+			}
+			e = e*10 + int(s[i]-'0')
+			edigits++
+		}
+		if edigits == 0 {
+			return 0, 0, false
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
+	}
+	for i < len(s) && asciiSpace(s[i]) {
+		i++
+	}
+	if i < len(s) && s[i] != ',' || mant >= 1<<24 || exp10 < -10 || exp10 > 10 {
+		return 0, 0, false
+	}
+	v = float32(mant)
+	if exp10 >= 0 {
+		v *= float32pow10[exp10]
+	} else {
+		v /= float32pow10[-exp10]
+	}
+	if neg {
+		v = -v
+	}
+	return v, i, true
+}
+
+// asciiSpace reports the ASCII bytes unicode.IsSpace (and so
+// strings.TrimSpace) counts as space.
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
 func (p *parser) parseCreateIndex() (Stmt, error) {

@@ -12,11 +12,18 @@
 // closed, and its slot is released only when the abandoned statement
 // actually finishes, so the worker bound stays honest.
 //
+// The fixed cost of a statement is kept small. A connection reads and
+// writes through 4 KiB buffers and flushes once per response, so every
+// response leaves in one Write. The statement runs on the connection's
+// own goroutine, and the timeout is delivered by a per-connection timer
+// whose callback writes the timeout error when it beats the statement.
+//
 // Shutdown drains gracefully: stop accepting, let in-flight statements
 // finish, unblock idle readers, then close every connection.
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -192,7 +199,9 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle runs one connection: admission, then the session loop.
+// handle runs one connection: admission, then the session loop. The
+// slot is released only after the session's last statement returned —
+// a timed-out statement runs to its end on this goroutine.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	if !s.admit(conn) {
@@ -201,22 +210,11 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	s.track(conn, true)
 	s.stats.active.Add(1)
-	sessionDone := s.serveSession(conn)
+	s.serveSession(conn)
 	s.track(conn, false)
 	s.stats.active.Add(-1)
 	conn.Close()
-	// Release the slot only when the session's last statement has
-	// finished — a timed-out statement may still be running.
-	if sessionDone != nil {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			<-sessionDone
-			<-s.slots
-		}()
-	} else {
-		<-s.slots
-	}
+	<-s.slots
 }
 
 // admit applies admission control. It returns true once the connection
@@ -262,9 +260,15 @@ func (s *Server) admit(conn net.Conn) bool {
 	}
 }
 
+// reject answers a connection that never reached a session: one error
+// frame, in one Write.
 func (s *Server) reject(conn net.Conn, code, msg string) {
-	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
-	wire.WriteFrame(conn, wire.TError, wire.EncodeError(code, msg))
+	frame, err := wire.AppendFrame(nil, wire.TError, wire.EncodeError(code, msg))
+	if err != nil {
+		return
+	}
+	conn.SetWriteDeadline(time.Now().Add(rejectWriteTimeout))
+	conn.Write(frame)
 }
 
 func (s *Server) track(conn net.Conn, add bool) {
@@ -277,108 +281,165 @@ func (s *Server) track(conn net.Conn, add bool) {
 	}
 }
 
-// serveSession runs the frame loop for one admitted connection. When a
-// statement outlived its timeout, the returned channel closes once that
-// statement finishes; otherwise it returns nil.
-func (s *Server) serveSession(conn net.Conn) <-chan struct{} {
-	sess := s.backend.NewSession()
+// Connection write deadlines: a response gets respondWriteTimeout, an
+// error that ends or refuses a session rejectWriteTimeout, so a client
+// that stops reading cannot hold a handler forever.
+const (
+	respondWriteTimeout = 30 * time.Second
+	rejectWriteTimeout  = 2 * time.Second
+)
+
+// Statement states of a servedConn. The handler moves idle → running before
+// it runs a statement and running → idle when the statement returns;
+// the timeout callback moves running → timedOut. Whichever of the two
+// moves running away first owns the response.
+const (
+	stmtIdle int32 = iota
+	stmtRunning
+	stmtTimedOut
+)
+
+// servedConn is one admitted connection. Reads and writes go through 4 KiB
+// buffers: a frame that arrives whole is taken in with one Read, and
+// every response is flushed once, so it leaves in one Write when it
+// fits the buffer (a k = 10 answer is ~250 bytes).
+type servedConn struct {
+	s    *Server
+	nc   net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+	sess Session
+
+	state atomic.Int32
+	// timer delivers the query timeout (onTimeout); it is created by
+	// the first statement and re-armed with Reset by each one after.
+	timer *time.Timer
+	// fired receives once per timer fire, when onTimeout is done with
+	// the writer and the connection.
+	fired chan struct{}
+}
+
+// serveSession runs the frame loop for one admitted connection. Each
+// statement runs on this goroutine; it returns when the client leaves,
+// drain begins, or a statement timed out (after that statement
+// returned).
+func (s *Server) serveSession(conn net.Conn) {
+	c := &servedConn{
+		s:     s,
+		nc:    conn,
+		br:    bufio.NewReader(conn),
+		bw:    bufio.NewWriter(conn),
+		sess:  s.backend.NewSession(),
+		fired: make(chan struct{}, 1),
+	}
 	for {
 		select {
 		case <-s.draining:
-			s.reject(conn, wire.CodeShutdown, "server is shutting down")
-			return nil
+			c.writeError(wire.CodeShutdown, "server is shutting down")
+			return
 		default:
 		}
-		t, payload, err := wire.ReadFrame(conn)
+		t, payload, err := wire.ReadFrame(c.br)
 		if err != nil {
 			// Client went away or drain unblocked an idle read.
-			return nil
+			return
 		}
 		switch t {
 		case wire.TTerminate:
-			return nil
+			return
 		case wire.TPing:
-			if err := wire.WriteFrame(conn, wire.TDone, wire.EncodeDone(0)); err != nil {
-				return nil
+			wire.WriteFrame(c.bw, wire.TDone, wire.EncodeDone(0))
+			if c.bw.Flush() != nil {
+				return
 			}
 		case wire.TQuery:
-			done, alive := s.runQuery(conn, sess, wire.DecodeQuery(payload))
-			if !alive {
-				return done
+			if !c.runQuery(wire.DecodeQuery(payload)) {
+				return
 			}
 		default:
-			wire.WriteFrame(conn, wire.TError,
+			wire.WriteFrame(c.bw, wire.TError,
 				wire.EncodeError(wire.CodeError, fmt.Sprintf("unexpected frame type %q", byte(t))))
-			return nil
+			c.bw.Flush()
+			return
 		}
 	}
 }
 
-// runQuery executes one statement under the per-query timeout and
-// writes the response. alive reports whether the session may continue;
-// when a timeout fires, alive is false and done closes when the
-// abandoned statement finishes (sessions are single-threaded, so the
-// connection cannot accept further statements while one is running).
-func (s *Server) runQuery(conn net.Conn, sess Session, text string) (done <-chan struct{}, alive bool) {
-	if res, handled := s.utilityQuery(text); handled {
-		s.respond(conn, res, nil, 0)
-		return nil, true
+// runQuery executes one statement under the query timeout and writes
+// its response. It reports false when the timeout fired first: the
+// client then has its CodeTimeout, the connection is closed, and the
+// session ends — only now that the abandoned statement returned, so
+// the slot it holds stays honest.
+func (c *servedConn) runQuery(text string) bool {
+	if res, handled := c.s.utilityQuery(text); handled {
+		c.respond(res, nil, 0)
+		return true
 	}
-	type outcome struct {
-		res *sql.Result
-		err error
-	}
-	ch := make(chan outcome, 1)
-	finished := make(chan struct{})
 	start := time.Now()
-	go func() {
-		defer close(finished)
-		if d := s.execDelay.Load(); d > 0 {
-			time.Sleep(time.Duration(d))
-		}
-		r, err := sess.Execute(text)
-		ch <- outcome{r, err}
-	}()
-	timer := time.NewTimer(s.cfg.QueryTimeout)
-	defer timer.Stop()
-	select {
-	case out := <-ch:
-		s.respond(conn, out.res, out.err, time.Since(start))
-		return nil, true
-	case <-timer.C:
-		// Drain-and-deliver race: prefer a result that arrived with the
-		// timeout. Otherwise abandon the statement and close the
-		// connection — the session is not safe for a second concurrent
-		// statement.
-		select {
-		case out := <-ch:
-			s.respond(conn, out.res, out.err, time.Since(start))
-			return nil, true
-		default:
-		}
-		s.stats.timeouts.Add(1)
-		s.reject(conn, wire.CodeTimeout,
-			fmt.Sprintf("statement exceeded the %v query timeout", s.cfg.QueryTimeout))
-		return finished, false
+	c.state.Store(stmtRunning)
+	if c.timer == nil {
+		c.timer = time.AfterFunc(c.s.cfg.QueryTimeout, c.onTimeout)
+	} else {
+		c.timer.Reset(c.s.cfg.QueryTimeout)
 	}
+	if d := c.s.execDelay.Load(); d > 0 {
+		time.Sleep(time.Duration(d))
+	}
+	res, err := c.sess.Execute(text)
+	inTime := c.state.CompareAndSwap(stmtRunning, stmtIdle)
+	if !c.timer.Stop() {
+		// The timer fired, whether or not it won: wait until onTimeout
+		// is done with the writer and the connection. This also keeps a
+		// late fire from timing out the next statement.
+		<-c.fired
+	}
+	if !inTime {
+		return false
+	}
+	c.respond(res, err, time.Since(start))
+	return true
 }
 
-// respond writes one statement outcome and records serving stats.
-func (s *Server) respond(conn net.Conn, res *sql.Result, err error, elapsed time.Duration) {
-	conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	defer conn.SetWriteDeadline(time.Time{})
+// onTimeout is the timer's callback, on the timer's goroutine. If the
+// statement is still running it answers CodeTimeout and closes the
+// connection; the statement runs on, and the handler returns when it
+// does.
+func (c *servedConn) onTimeout() {
+	if c.state.CompareAndSwap(stmtRunning, stmtTimedOut) {
+		c.s.stats.timeouts.Add(1)
+		c.writeError(wire.CodeTimeout,
+			fmt.Sprintf("statement exceeded the %v query timeout", c.s.cfg.QueryTimeout))
+		c.nc.Close()
+	}
+	c.fired <- struct{}{}
+}
+
+// writeError writes one error frame that ends the session and flushes
+// it.
+func (c *servedConn) writeError(code, msg string) {
+	c.nc.SetWriteDeadline(time.Now().Add(rejectWriteTimeout))
+	wire.WriteFrame(c.bw, wire.TError, wire.EncodeError(code, msg))
+	c.bw.Flush()
+}
+
+// respond writes one statement outcome, flushes it, and records serving
+// stats.
+func (c *servedConn) respond(res *sql.Result, err error, elapsed time.Duration) {
+	c.nc.SetWriteDeadline(time.Now().Add(respondWriteTimeout))
+	defer c.nc.SetWriteDeadline(time.Time{})
 	if err != nil {
-		s.stats.errors.Add(1)
-		wire.WriteFrame(conn, wire.TError, wire.EncodeError(wire.CodeError, err.Error()))
-		return
+		c.s.stats.errors.Add(1)
+		wire.WriteFrame(c.bw, wire.TError, wire.EncodeError(wire.CodeError, err.Error()))
+	} else {
+		c.s.stats.queries.Add(1)
+		if elapsed > 0 {
+			// Server-side utility answers (elapsed 0) stay out of the
+			// latency histogram; it reports SQL execution only.
+			c.s.stats.observe(elapsed)
+		}
+		wire.WriteResult(c.bw, &wire.Result{Cols: res.Cols, Rows: res.Rows, Msg: res.Msg})
 	}
-	s.stats.queries.Add(1)
-	if elapsed > 0 {
-		// Server-side utility answers (elapsed 0) stay out of the
-		// latency histogram; it reports SQL execution only.
-		s.stats.observe(elapsed)
-	}
-	wire.WriteResult(conn, &wire.Result{Cols: res.Cols, Rows: res.Rows, Msg: res.Msg})
+	c.bw.Flush()
 }
 
 // ServerStatsQuery is the utility statement the server answers itself,
@@ -388,7 +449,14 @@ const ServerStatsQuery = "server_stats"
 
 // utilityQuery intercepts SHOW server_stats.
 func (s *Server) utilityQuery(text string) (*sql.Result, bool) {
-	fields := strings.Fields(strings.ToLower(strings.TrimSuffix(strings.TrimSpace(text), ";")))
+	text = strings.TrimSuffix(strings.TrimSpace(text), ";")
+	// Every other statement leaves here without lowercasing its text (a
+	// kNN statement is ~1.3 KB). No non-ASCII rune lowercases to any
+	// of "show", so the ASCII fold rejects nothing the full check takes.
+	if len(text) < 4 || !strings.EqualFold(text[:4], "show") {
+		return nil, false
+	}
+	fields := strings.Fields(strings.ToLower(text))
 	if len(fields) != 2 || fields[0] != "show" || fields[1] != ServerStatsQuery {
 		return nil, false
 	}
