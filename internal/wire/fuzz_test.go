@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 )
 
@@ -63,12 +62,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		case TRow:
 			vals, err := DecodeRow(payload)
 			if err == nil {
+				// Compared as bytes: a vector may carry NaN, which no
+				// value comparison equals to itself.
 				again, err := EncodeRow(vals)
-				if err != nil {
-					t.Fatalf("re-encoding decoded row: %v", err)
-				}
-				vals2, err := DecodeRow(again)
-				if err != nil || !reflect.DeepEqual(vals, vals2) {
+				if err != nil || !bytes.Equal(again, payload) {
 					t.Fatalf("row round trip diverged: %v", err)
 				}
 			}
