@@ -36,13 +36,14 @@ func TestLookupUnknown(t *testing.T) {
 }
 
 // TestExperimentsRunAtSmokeScale executes a representative subset of the
-// drivers end to end. The heavy sweeps (fig9, fig18) and the full HNSW
-// builds are covered by the quick variants here plus the root benchmarks.
+// drivers end to end. The heavy sweeps (fig9, fig18) are covered by the
+// quick variants here plus the root benchmarks. The sampled breakdowns
+// (tab3, fig8, tab5) must also print well-formed shares.
 func TestExperimentsRunAtSmokeScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping harness smoke in -short mode")
 	}
-	for _, id := range []string{"fig2", "fig3", "fig4", "fig11", "fig13", "fig14", "fig15", "tab4", "tab5", "ablation_heap", "ablation_pqtab", "qps_cluster"} {
+	for _, id := range []string{"fig2", "fig3", "fig4", "fig8", "fig11", "fig13", "fig14", "fig15", "tab3", "tab4", "tab5", "ablation_heap", "ablation_pqtab", "qps_cluster"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			var buf strings.Builder
@@ -62,6 +63,9 @@ func TestExperimentsRunAtSmokeScale(t *testing.T) {
 			}
 			if lines < 2 {
 				t.Errorf("%s: only %d data lines:\n%s", id, lines, out)
+			}
+			if id == "tab3" || id == "fig8" || id == "tab5" {
+				checkShares(t, out)
 			}
 		})
 	}

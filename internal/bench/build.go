@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"vecstudy/internal/core"
+	"vecstudy/internal/dataset"
 	"vecstudy/internal/prof"
 )
 
@@ -91,88 +92,77 @@ func runBuild(cfg *Config, kind core.IndexKind, useGemm bool) error {
 	return nil
 }
 
-// runTab3 rebuilds HNSW in both engines with phase profiling enabled.
+// tab3Phases are Table III's rows, in the paper's order.
+var tab3Phases = []string{"SearchNbToAdd", "AddLink", "GreedyUpdate", "ShrinkNbList"}
+
+// fig8Parts are the parts of SearchNbToAdd that Fig 8 shows per engine.
+var fig8Parts = map[core.Engine][]string{
+	core.Specialized: {partDist, partVisited},
+	core.Generalized: {partDist, partTuple, partHVT, partNbList},
+}
+
+// buildIn builds kind in the specialized or the generalized engine.
+func buildIn(engine core.Engine, kind core.IndexKind, ds *dataset.Dataset, p core.Params) (core.Index, core.BuildResult, error) {
+	if engine == core.Specialized {
+		return core.BuildSpecialized(kind, ds, p)
+	}
+	return core.BuildGeneralized(kind, ds, p)
+}
+
+// sampleHNSWBuild builds HNSW in one engine under the CPU profiler and
+// returns the build's samples with its wall time.
+func sampleHNSWBuild(ds *dataset.Dataset, engine core.Engine) (breakdown, time.Duration, error) {
+	var total time.Duration
+	stacks, err := prof.Sample(func() error {
+		ix, br, err := buildIn(engine, core.HNSW, ds, core.Defaults(ds))
+		if err != nil {
+			return err
+		}
+		total = br.Total
+		return ix.Close()
+	})
+	if err != nil {
+		return breakdown{}, 0, err
+	}
+	return tally(stacks), total, nil
+}
+
+// runTab3 samples an HNSW build in both engines and reports each phase's
+// share of the build's samples.
 func runTab3(cfg *Config) error {
 	ds, err := cfg.Dataset(cfg.Datasets[0], 10)
 	if err != nil {
 		return err
 	}
-	phases := []string{"SearchNbToAdd", "AddLink", "GreedyUpdate", "ShrinkNbList"}
 	for _, engine := range []core.Engine{core.Specialized, core.Generalized} {
-		p := core.Defaults(ds)
-		p.Prof = prof.New()
-		var total time.Duration
-		if engine == core.Specialized {
-			ix, br, err := core.BuildSpecialized(core.HNSW, ds, p)
-			if err != nil {
-				return err
-			}
-			ix.Close()
-			total = br.Total
-		} else {
-			ix, br, err := core.BuildGeneralized(core.HNSW, ds, p)
-			if err != nil {
-				return err
-			}
-			ix.Close()
-			total = br.Total
+		b, total, err := sampleHNSWBuild(ds, engine)
+		if err != nil {
+			return err
 		}
-		cfg.printf("%s HNSW build on %s (total %v):\n", engine, ds.Name, total.Round(time.Millisecond))
-		// The fine-grained timers nest inside the phase timers; exclude
-		// them from the residual so "others" matches the paper's Table III.
-		entries := p.Prof.Report(total, "fvec_L2sqr", "tuple_access", "HVTGet", "pasepfirst", "visited-check", "min-heap")
-		for _, e := range entries {
-			if contains(phases, e.Name) || e.Name == "others" {
-				cfg.printf("  %-16s %6.2f%%  %v\n", e.Name, e.Percent, e.Total.Round(time.Millisecond))
-			}
-		}
+		cfg.printf("%s HNSW build on %s (total %v, %d samples):\n", engine, ds.Name, total.Round(time.Millisecond), b.total)
+		cfg.printShares(b.phases, tab3Phases, b.total)
 	}
+	cfg.printf("# note: shares of CPU samples at 100 Hz, ± a 95%% binomial spread\n")
 	return nil
 }
 
-// runFig8 reports the nested timers as shares of SearchNbToAdd.
+// runFig8 samples an HNSW build in both engines and reports the parts of
+// SearchNbToAdd as shares of that phase's own samples.
 func runFig8(cfg *Config) error {
 	ds, err := cfg.Dataset(cfg.Datasets[0], 10)
 	if err != nil {
 		return err
 	}
-	type row struct {
-		engine core.Engine
-		parts  []string
-	}
-	rows := []row{
-		{core.Specialized, []string{"fvec_L2sqr", "visited-check"}},
-		{core.Generalized, []string{"fvec_L2sqr", "tuple_access", "HVTGet", "pasepfirst"}},
-	}
-	for _, r := range rows {
-		p := core.Defaults(ds)
-		p.Prof = prof.New()
-		if r.engine == core.Specialized {
-			ix, _, err := core.BuildSpecialized(core.HNSW, ds, p)
-			if err != nil {
-				return err
-			}
-			ix.Close()
-		} else {
-			ix, _, err := core.BuildGeneralized(core.HNSW, ds, p)
-			if err != nil {
-				return err
-			}
-			ix.Close()
+	for _, engine := range []core.Engine{core.Specialized, core.Generalized} {
+		b, _, err := sampleHNSWBuild(ds, engine)
+		if err != nil {
+			return err
 		}
-		searchNb := p.Prof.Timer("SearchNbToAdd").Total()
-		cfg.printf("%s SearchNbToAdd on %s: %v total\n", r.engine, ds.Name, searchNb.Round(time.Millisecond))
-		var accounted time.Duration
-		for _, part := range r.parts {
-			t := p.Prof.Timer(part).Total()
-			accounted += t
-			cfg.printf("  %-14s %6.2f%%  %v\n", part, 100*float64(t)/float64(searchNb), t.Round(time.Millisecond))
-		}
-		if rest := searchNb - accounted; rest > 0 {
-			cfg.printf("  %-14s %6.2f%%  %v\n", "others", 100*float64(rest)/float64(searchNb), rest.Round(time.Millisecond))
-		}
+		n := b.phases["SearchNbToAdd"]
+		cfg.printf("%s SearchNbToAdd on %s (%d of %d build samples):\n", engine, ds.Name, n, b.total)
+		cfg.printShares(b.parts["SearchNbToAdd"], fig8Parts[engine], n)
 	}
-	cfg.printf("# note: nested timers also accrue in other phases; shares are vs SearchNbToAdd as in the paper\n")
+	cfg.printf("# note: shares of SearchNbToAdd's CPU samples at 100 Hz, ± a 95%% binomial spread\n")
 	return nil
 }
 
@@ -250,13 +240,4 @@ func runFig10(cfg *Config) error {
 		cfg.printf("%-9s bnn=%-6d %-13.3f %-12.3f %.2f\n", core.HNSW, bnn, secs(sb.Total), secs(gb.Total), ratio(sb.Total, gb.Total))
 	}
 	return nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

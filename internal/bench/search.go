@@ -116,6 +116,14 @@ func runFig2(cfg *Config) error {
 	return nil
 }
 
+// tab5Budget is the wall time Table V samples each engine's search for,
+// repeating the query set: at the profiler's 100 Hz one pass over a few
+// dozen queries catches a handful of samples.
+const tab5Budget = 2 * time.Second
+
+// tab5Parts are Table V's rows, in the paper's order.
+var tab5Parts = []string{partDist, partTuple, partHeap}
+
 func runTab5(cfg *Config) error {
 	ds, err := cfg.Dataset(cfg.Datasets[0], 10)
 	if err != nil {
@@ -124,34 +132,38 @@ func runTab5(cfg *Config) error {
 	for _, engine := range []core.Engine{core.Specialized, core.Generalized} {
 		p := core.Defaults(ds)
 		p.K = 10
-		p.Prof = prof.New()
-		var ix core.Index
-		if engine == core.Specialized {
-			ix, _, err = core.BuildSpecialized(core.IVFFlat, ds, p)
-		} else {
-			ix, _, err = core.BuildGeneralized(core.IVFFlat, ds, p)
-		}
+		ix, _, err := buildIn(engine, core.IVFFlat, ds, p)
 		if err != nil {
 			return err
 		}
 		if err := core.WarmUp(ix, ds, p.K, 4); err != nil {
 			return err
 		}
-		p.Prof.Reset()
-		res, err := core.RunSearch(ix, ds, p.K)
+		nq := 0
+		start := time.Now()
+		stacks, err := prof.Sample(func() error {
+			for time.Since(start) < tab5Budget {
+				for q := 0; q < ds.NQ(); q++ {
+					if _, err := ix.Search(ds.Queries.Row(q), p.K); err != nil {
+						return err
+					}
+					nq++
+				}
+			}
+			return nil
+		})
+		elapsed := time.Since(start)
+		ix.Close()
 		if err != nil {
 			return err
 		}
-		ix.Close()
-		cfg.printf("%s IVF_FLAT search on %s (avg %v):\n", engine, ds.Name, res.AvgLatency.Round(time.Microsecond))
-		for _, e := range p.Prof.Report(res.Total) {
-			if e.Total == 0 {
-				continue
-			}
-			cfg.printf("  %-14s %6.2f%%  %v\n", e.Name, e.Percent, e.Total.Round(time.Millisecond))
-		}
+		b := tally(stacks)
+		cfg.printf("%s IVF_FLAT search on %s (avg %v over %d queries, %d samples):\n",
+			engine, ds.Name, (elapsed / time.Duration(max(nq, 1))).Round(time.Microsecond), nq, b.total)
+		// A search never enters Link: every sample's phase is "".
+		cfg.printShares(b.parts[""], tab5Parts, b.total)
 	}
-	cfg.printf("# note: profiling timers add per-call overhead; shares, not absolutes, are comparable\n")
+	cfg.printf("# note: shares of CPU samples at 100 Hz, ± a 95%% binomial spread\n")
 	return nil
 }
 

@@ -123,16 +123,6 @@ func (p *Pool) Put(pc *PoolConn, resultErr error) {
 	p.mu.Unlock()
 }
 
-// Discard closes a checked-out connection and releases its slot without
-// pooling it, regardless of error state.
-func (p *Pool) Discard(pc *PoolConn) {
-	if pc == nil {
-		return
-	}
-	pc.Close()
-	<-p.tokens
-}
-
 // Close closes every idle connection and marks the pool closed: future
 // Gets fail, and checked-out conns are closed at Put.
 func (p *Pool) Close() {

@@ -123,9 +123,6 @@ func NewRouter(m *ShardMap, cfg Config) *Router {
 	return r
 }
 
-// Map returns the router's shard map.
-func (r *Router) Map() *ShardMap { return r.m }
-
 // Close stops the health checker and closes every backend pool.
 func (r *Router) Close() {
 	r.closeMu.Lock()

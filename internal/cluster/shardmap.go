@@ -78,10 +78,6 @@ func (m *ShardMap) ShardFor(rowid int64) int {
 	return int(s)
 }
 
-// Owns reports whether shard owns rowid under the modulo placement —
-// the disjoint-load predicate shard loaders filter with.
-func (m *ShardMap) Owns(shard int, rowid int64) bool { return m.ShardFor(rowid) == shard }
-
 // String renders the map back in the `-shards` spec syntax.
 func (m *ShardMap) String() string {
 	shards := make([]string, len(m.Shards))

@@ -23,7 +23,6 @@ import (
 	"vecstudy/internal/dataset"
 	"vecstudy/internal/kmeans"
 	"vecstudy/internal/pg/am"
-	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -121,8 +120,6 @@ type Params struct {
 	// adjacency layout (the layout ablation); false is the paper's RC#4
 	// position.
 	Packed bool
-
-	Prof *prof.Profile
 }
 
 // Defaults returns the paper's default parameters (Table II) resolved for

@@ -78,7 +78,7 @@ func buildGeneralized(kind IndexKind, engine Engine, ds *dataset.Dataset, p Para
 		dataBytes := int64(ds.N()) * (int64(ds.Dim)*4 + 64)
 		frames = int(6*dataBytes/int64(pageSize)) + 1024
 	}
-	d, err := db.Open(db.Config{PageSize: p.PageSize, BufferFrames: frames, BufferPartitions: paperPartitions, Prof: p.Prof})
+	d, err := db.Open(db.Config{PageSize: p.PageSize, BufferFrames: frames, BufferPartitions: paperPartitions})
 	if err != nil {
 		return nil, res, err
 	}

@@ -31,7 +31,7 @@ func BuildSpecialized(kind IndexKind, ds *dataset.Dataset, p Params) (*Specializ
 	case IVFFlat:
 		ix, err := ivfflat.New(ivfflat.Options{
 			Dim: ds.Dim, NList: p.C, UseGemm: p.UseGemm, Threads: p.BuildThreads,
-			KMeansFlavor: p.KMeansFlavor, SampleRatio: p.SR, Seed: p.Seed, Kernel: paperKern, Prof: p.Prof,
+			KMeansFlavor: p.KMeansFlavor, SampleRatio: p.SR, Seed: p.Seed, Kernel: paperKern,
 		})
 		if err != nil {
 			return nil, res, err
@@ -49,7 +49,7 @@ func BuildSpecialized(kind IndexKind, ds *dataset.Dataset, p Params) (*Specializ
 		ix, err := ivfpq.New(ivfpq.Options{
 			Dim: ds.Dim, NList: p.C, M: p.M, KSub: p.KSub,
 			UseGemm: p.UseGemm, Threads: p.BuildThreads, KMeansFlavor: p.KMeansFlavor,
-			SampleRatio: p.SR, Seed: p.Seed, PrecomputeTable: p.PrecomputeTable, Kernel: paperKern, Prof: p.Prof,
+			SampleRatio: p.SR, Seed: p.Seed, PrecomputeTable: p.PrecomputeTable, Kernel: paperKern,
 		})
 		if err != nil {
 			return nil, res, err
@@ -64,7 +64,7 @@ func BuildSpecialized(kind IndexKind, ds *dataset.Dataset, p Params) (*Specializ
 		res.TrainTime, res.AddTime = st.TrainTime, st.AddTime
 		si.pqIdx = ix
 	case HNSW:
-		ix, err := hnsw.New(hnsw.Options{Dim: ds.Dim, BNN: p.BNN, EFB: p.EFB, Seed: p.Seed, Kernel: paperKern, Prof: p.Prof})
+		ix, err := hnsw.New(hnsw.Options{Dim: ds.Dim, BNN: p.BNN, EFB: p.EFB, Seed: p.Seed, Kernel: paperKern})
 		if err != nil {
 			return nil, res, err
 		}

@@ -19,7 +19,7 @@ func BuildFaissStar(gen *GeneralizedIndex, ds *dataset.Dataset, p Params) (*Spec
 	}
 	star, err := ivfflat.New(ivfflat.Options{
 		Dim: ds.Dim, NList: paseIdx.NList(), UseGemm: p.UseGemm,
-		Threads: p.BuildThreads, Seed: p.Seed, Kernel: paperKern, Prof: p.Prof,
+		Threads: p.BuildThreads, Seed: p.Seed, Kernel: paperKern,
 	})
 	if err != nil {
 		return nil, err

@@ -20,7 +20,6 @@ import (
 
 	"vecstudy/internal/hnswalk"
 	"vecstudy/internal/minheap"
-	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -36,7 +35,6 @@ type Options struct {
 	// Kernel scores every distance, graph construction included; nil =
 	// vec.Default().
 	Kernel vec.Kernel
-	Prof   *prof.Profile
 }
 
 // Stats reports construction timing by phase (Table III).
@@ -67,9 +65,8 @@ type Index struct {
 
 	// walk keeps the search queues and buffers, so a search allocates
 	// only the rows it returns; like visited, it serves one call at a
-	// time. tDist and tVisit are the beam's Fig 8 regions.
-	walk          hnswalk.Walker[int32]
-	tDist, tVisit *prof.Timer
+	// time.
+	walk hnswalk.Walker[int32]
 }
 
 // New creates an empty graph, validating options and applying the paper's
@@ -96,9 +93,7 @@ func New(opts Options) (*Index, error) {
 		entryPoint: -1,
 		maxLevel:   -1,
 		rng:        rand.New(rand.NewSource(opts.Seed)),
-		walk:       hnswalk.Walker[int32]{BNN: opts.BNN, EFB: opts.EFB, Phases: hnswalk.PhaseTimers(opts.Prof)},
-		tDist:      opts.Prof.Timer("fvec_L2sqr"),
-		tVisit:     opts.Prof.Timer("visited-check"),
+		walk:       hnswalk.Walker[int32]{BNN: opts.BNN, EFB: opts.EFB},
 	}, nil
 }
 
@@ -162,8 +157,8 @@ func (ix *Index) dist(x []float32, id int32) float32 {
 
 // graph is the Index as the walk sees it: vectors and neighbour lists
 // read straight from memory, the epoch-stamped visited table, every
-// vertex admitted. Only the beam's visited checks and distances are
-// timed (Fig 8's visited-check and fvec_L2sqr).
+// vertex admitted. The visited check is inline in Expand, so Fig 8 reads
+// it as Expand's own samples (visited-check).
 type graph Index
 
 var _ hnswalk.Graph[int32] = (*graph)(nil)
@@ -179,18 +174,11 @@ func (g *graph) Expand(q []float32, v int32, level int, visit bool, dst []hnswal
 	ix := (*Index)(g)
 	for _, nb := range g.links[v][level] {
 		if visit {
-			ts := g.tVisit.Start()
 			seen := g.visited[nb] == g.visitedEpoch
 			g.visited[nb] = g.visitedEpoch
-			g.tVisit.Stop(ts)
 			if seen {
 				continue
 			}
-			ts = g.tDist.Start()
-			d := ix.dist(q, nb)
-			g.tDist.Stop(ts)
-			dst = append(dst, hnswalk.Scored[int32]{V: nb, Dist: d})
-			continue
 		}
 		dst = append(dst, hnswalk.Scored[int32]{V: nb, Dist: ix.dist(q, nb)})
 	}

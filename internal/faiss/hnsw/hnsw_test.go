@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"vecstudy/internal/minheap"
-	"vecstudy/internal/prof"
 	"vecstudy/internal/testutil"
 )
 
@@ -175,27 +174,6 @@ func TestGraphConnectivity(t *testing.T) {
 	}
 	if count < n*99/100 {
 		t.Errorf("only %d/%d vertices reachable at level 0", count, n)
-	}
-}
-
-func TestBuildPhaseTimersRecorded(t *testing.T) {
-	ds := testutil.SmallDataset(t)
-	p := prof.New()
-	ix, err := New(Options{Dim: ds.Dim, Seed: 8, Prof: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Add(ds.Base.Data[:500*ds.Dim], 500); err != nil {
-		t.Fatal(err)
-	}
-	for _, phase := range []string{"SearchNbToAdd", "AddLink", "GreedyUpdate", "ShrinkNbList"} {
-		if p.Timer(phase).Count() == 0 {
-			t.Errorf("phase %s never recorded", phase)
-		}
-	}
-	// Table III: SearchNbToAdd dominates construction.
-	if p.Timer("SearchNbToAdd").Total() < p.Timer("AddLink").Total() {
-		t.Error("SearchNbToAdd should dominate AddLink")
 	}
 }
 

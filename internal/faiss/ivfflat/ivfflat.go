@@ -23,7 +23,6 @@ import (
 
 	"vecstudy/internal/kmeans"
 	"vecstudy/internal/minheap"
-	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -36,8 +35,7 @@ type Options struct {
 	KMeansFlavor kmeans.Flavor // RC#5
 	SampleRatio  float64       // K-means training sample ratio (paper parameter sr)
 	Seed         int64
-	Kernel       vec.Kernel    // scores probe selection and bucket scans; nil = vec.Default()
-	Prof         *prof.Profile // optional breakdown instrumentation
+	Kernel       vec.Kernel // scores probe selection and bucket scans; nil = vec.Default()
 }
 
 // Stats reports construction timing, split the way Figs 3–6 report it.
@@ -179,20 +177,12 @@ func (ix *Index) Search(query []float32, k int, p SearchParams) ([]minheap.Item,
 	if p.Threads > 1 {
 		return ix.searchParallel(query, k, probes, p.Threads), nil
 	}
-	pr := ix.opts.Prof
 	heap := minheap.NewTopK(k)
-	tDist := pr.Timer("fvec_L2sqr")
-	tHeap := pr.Timer("min-heap")
 	d := ix.opts.Dim
 	for _, list := range probes {
 		vecs, ids := ix.listVecs[list], ix.listIDs[list]
 		for i, id := range ids {
-			ts := tDist.Start()
-			dist := ix.opts.Kernel.L2Sqr(query, vecs[i*d:(i+1)*d])
-			tDist.Stop(ts)
-			ts = tHeap.Start()
-			heap.Push(id, dist)
-			tHeap.Stop(ts)
+			heap.Push(id, ix.opts.Kernel.L2Sqr(query, vecs[i*d:(i+1)*d]))
 		}
 	}
 	return heap.Results(), nil

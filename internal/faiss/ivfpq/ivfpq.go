@@ -19,7 +19,6 @@ import (
 	"vecstudy/internal/kmeans"
 	"vecstudy/internal/minheap"
 	"vecstudy/internal/pq"
-	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -38,7 +37,6 @@ type Options struct {
 	// (RC#7). Off reproduces the PASE per-list computation.
 	PrecomputeTable bool
 	Kernel          vec.Kernel // scores probe selection; nil = vec.Default()
-	Prof            *prof.Profile
 }
 
 // Stats reports construction timing split into the paper's phases.
@@ -276,15 +274,12 @@ func (ix *Index) Search(query []float32, k int, p SearchParams) ([]minheap.Item,
 	if p.Threads > 1 {
 		return ix.searchParallel(query, k, probes, coarseDists, p.Threads), nil
 	}
-	pr := ix.opts.Prof
 	heap := minheap.NewTopK(k)
 	tab := make([]float32, ix.quant.M*ix.quant.KSub)
 	var ipTab []float32
 	if ix.opts.PrecomputeTable {
-		ts := pr.Timer("precomputed-table").Start()
 		ipTab = make([]float32, ix.quant.M*ix.quant.KSub)
 		ix.quant.InnerProductTable(query, ipTab)
-		pr.Timer("precomputed-table").Stop(ts)
 	}
 	scratch := make([]float32, ix.opts.Dim)
 	for pi, list := range probes {
@@ -300,9 +295,6 @@ func (ix *Index) Search(query []float32, k int, p SearchParams) ([]minheap.Item,
 // without, the entries are exact residual sub-distances and term1 is 0.
 func (ix *Index) listTable(query []float32, list int32, term1 float32, ipTab, tab, scratch []float32) {
 	q := ix.quant
-	pr := ix.opts.Prof
-	ts := pr.Timer("precomputed-table").Start()
-	defer pr.Timer("precomputed-table").Stop(ts)
 	if ix.opts.PrecomputeTable {
 		base := int(list) * q.M * q.KSub
 		pc := ix.precomp[base : base+q.M*q.KSub]
@@ -323,25 +315,20 @@ func (ix *Index) listTable(query []float32, list int32, term1 float32, ipTab, ta
 // candidates into the heap.
 func (ix *Index) scanList(list int32, term1 float32, tab []float32, heap *minheap.TopK) {
 	q := ix.quant
-	pr := ix.opts.Prof
 	codes := ix.listCodes[list]
 	ids := ix.listIDs[list]
 	offset := float32(0)
 	if ix.opts.PrecomputeTable {
 		offset = term1
 	}
-	ts := pr.Timer("adc-scan").Start()
 	for i, id := range ids {
 		code := codes[i*q.M : (i+1)*q.M]
 		dist := offset
 		for m, cj := range code {
 			dist += tab[m*q.KSub+int(cj)]
 		}
-		hs := pr.Timer("min-heap").Start()
 		heap.Push(id, dist)
-		pr.Timer("min-heap").Stop(hs)
 	}
-	pr.Timer("adc-scan").Stop(ts)
 }
 
 func (ix *Index) selectProbes(query []float32, nprobe int) ([]int32, []float32) {

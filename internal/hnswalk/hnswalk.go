@@ -1,9 +1,9 @@
 // Package hnswalk is the HNSW algorithm, once, for both engines: the
 // greedy descent through the upper levels, the beam search of one level,
 // the diversification heuristic that picks a vertex's neighbours, and
-// the insert that wires a vertex in, timed by the build phases of the
-// paper's Table III (GreedyUpdate, SearchNbToAdd, ShrinkNbList,
-// AddLink).
+// the insert that wires a vertex in, whose calls are the build phases of
+// the paper's Table III (GreedyUpdate, SearchNbToAdd, ShrinkNbList,
+// AddLink) as internal/bench's frame table reads them from CPU samples.
 //
 // The specialized engine (internal/faiss/hnsw) and the generalized one
 // (internal/pase/hnsw) differ only in where the graph lives, and that is
@@ -23,8 +23,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-
-	"vecstudy/internal/prof"
 )
 
 // Scored is a vertex and its distance to the current query point.
@@ -63,28 +61,12 @@ type Graph[V any] interface {
 	Rewrite(v V, level int, list []Scored[V]) error
 }
 
-// Phases are Table III's build timers; nil timers are off.
-type Phases struct {
-	GreedyUpdate, SearchNbToAdd, ShrinkNbList, AddLink *prof.Timer
-}
-
-// PhaseTimers resolves the build timers of pr (all nil when pr is nil).
-func PhaseTimers(pr *prof.Profile) Phases {
-	return Phases{
-		GreedyUpdate:  pr.Timer("GreedyUpdate"),
-		SearchNbToAdd: pr.Timer("SearchNbToAdd"),
-		ShrinkNbList:  pr.Timer("ShrinkNbList"),
-		AddLink:       pr.Timer("AddLink"),
-	}
-}
-
 // Walker runs the algorithm over a Graph, keeping its queues and
 // buffers between calls so a walk allocates nothing once they have
 // grown. A Walker serves one walk at a time. BNN and EFB (the paper's
-// bnn and efb) and Phases are read only by Link and Relink.
+// bnn and efb) are read only by Link and Relink.
 type Walker[V any] struct {
 	BNN, EFB int
-	Phases   Phases
 
 	cands candQueue[V]
 	res   topK[V]
@@ -230,9 +212,11 @@ func (w *Walker[V]) selectNeighbors(g Graph[V], cands []Scored[V], capacity int)
 
 // Link wires self, whose vector is q and whose top level is level, into
 // a graph whose entry point is entry at maxLevel. The caller stores the
-// vertex first and moves the entry point afterwards.
+// vertex first and moves the entry point afterwards. Each Table III phase
+// is a call made directly from here (internal/bench reads them by name):
+// greedy is GreedyUpdate, search SearchNbToAdd, selectNeighbors and
+// shrink ShrinkNbList, and the Graph's AddLink AddLink.
 func (w *Walker[V]) Link(g Graph[V], q []float32, self V, level int, entry V, maxLevel int) error {
-	ph := w.Phases
 	ep := entry
 	epDist, err := g.Dist(q, ep)
 	if err != nil {
@@ -240,20 +224,15 @@ func (w *Walker[V]) Link(g Graph[V], q []float32, self V, level int, entry V, ma
 	}
 
 	// GreedyUpdate: descend through the levels above the new vertex's.
-	ts := ph.GreedyUpdate.Start()
-	for lev := maxLevel; lev > level && err == nil; lev-- {
-		ep, epDist, err = w.greedy(g, q, ep, epDist, lev)
-	}
-	ph.GreedyUpdate.Stop(ts)
-	if err != nil {
-		return err
+	for lev := maxLevel; lev > level; lev-- {
+		if ep, epDist, err = w.greedy(g, q, ep, epDist, lev); err != nil {
+			return err
+		}
 	}
 
 	for lev := min(level, maxLevel); lev >= 0; lev-- {
 		// SearchNbToAdd: the beam of length efb collects candidates.
-		ts := ph.SearchNbToAdd.Start()
 		cands, err := w.search(g, q, ep, epDist, w.EFB, lev)
-		ph.SearchNbToAdd.Stop(ts)
 		if err != nil {
 			return err
 		}
@@ -265,9 +244,7 @@ func (w *Walker[V]) Link(g Graph[V], q []float32, self V, level int, entry V, ma
 		}
 
 		// ShrinkNbList: prune the candidates to the level's capacity.
-		ts = ph.ShrinkNbList.Start()
 		selected, err := w.selectNeighbors(g, cands, w.Capacity(lev))
-		ph.ShrinkNbList.Stop(ts)
 		if err != nil {
 			return err
 		}
@@ -275,35 +252,23 @@ func (w *Walker[V]) Link(g Graph[V], q []float32, self V, level int, entry V, ma
 		// AddLink: forward and reverse edges. The new vertex's lists are
 		// empty, so forward links always fit; full reverse lists are
 		// rebuilt afterwards, under ShrinkNbList as Table III charges it.
-		ts = ph.AddLink.Start()
 		overflow := w.overflow[:0]
 		for _, s := range selected {
-			if _, err = g.AddLink(self, s.V, lev); err != nil {
-				break
+			if _, err := g.AddLink(self, s.V, lev); err != nil {
+				return err
 			}
-			var full bool
-			if full, err = g.AddLink(s.V, self, lev); err != nil {
-				break
+			full, err := g.AddLink(s.V, self, lev)
+			if err != nil {
+				return err
 			}
 			if full {
 				overflow = append(overflow, s)
 			}
 		}
-		ph.AddLink.Stop(ts)
 		w.overflow = overflow
-		if err != nil {
-			return err
-		}
 
-		if len(overflow) > 0 {
-			ts = ph.ShrinkNbList.Start()
-			for _, s := range overflow {
-				if err = w.shrink(g, s.V, self, lev); err != nil {
-					break
-				}
-			}
-			ph.ShrinkNbList.Stop(ts)
-			if err != nil {
+		for _, s := range overflow {
+			if err := w.shrink(g, s.V, self, lev); err != nil {
 				return err
 			}
 		}

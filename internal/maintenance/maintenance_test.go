@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"vecstudy/internal/maintenance"
 	"vecstudy/internal/pg/db"
@@ -77,57 +76,4 @@ func TestVacuumUnknownTable(t *testing.T) {
 	if _, err := maintenance.VacuumTable(d, "missing"); err == nil {
 		t.Fatal("vacuum of unknown table succeeded")
 	}
-}
-
-// TestWorkerAutoVacuums drives the background loop: once the dead
-// fraction crosses the threshold, a sweep reclaims the table without
-// any explicit VACUUM statement.
-func TestWorkerAutoVacuums(t *testing.T) {
-	d, s := openLoaded(t, 100)
-	w := maintenance.NewWorker(d, 5*time.Millisecond, func() float64 { return 0.2 })
-	w.Start()
-	defer w.Stop()
-
-	if _, err := s.Execute("DELETE FROM t WHERE id < 40"); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := d.Table("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for tbl.NDead() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never vacuumed: NDead = %d", tbl.NDead())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st := d.Mutations(); st.VacuumRuns == 0 {
-		t.Errorf("no vacuum recorded: %+v", st)
-	}
-}
-
-// TestWorkerRespectsThreshold: below the threshold (or with the
-// threshold off) the worker leaves dead tuples alone.
-func TestWorkerRespectsThreshold(t *testing.T) {
-	d, s := openLoaded(t, 100)
-	w := maintenance.NewWorker(d, 5*time.Millisecond, func() float64 { return 0 })
-	w.Start()
-	defer w.Stop()
-
-	if _, err := s.Execute("DELETE FROM t WHERE id < 40"); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := d.Table("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	if got := tbl.NDead(); got != 40 {
-		t.Errorf("NDead = %d with threshold off, want 40 untouched", got)
-	}
-
-	// Stop is idempotent and the loop exits promptly.
-	w.Stop()
-	w.Stop()
 }

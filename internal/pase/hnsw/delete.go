@@ -19,10 +19,8 @@ import (
 // entryState reads a vertex's data-entry header: its heap TID, its top
 // graph level, and whether it is tombstoned.
 func (ix *Index) entryState(v VID) (tid heap.TID, level uint16, dead bool, err error) {
-	ts := ix.tTuple.Start()
 	buf, err := ix.ctx.Pool.Pin(ix.ctx.Rel, v.DataBlk)
 	if err != nil {
-		ix.tTuple.Stop(ts)
 		return tid, 0, false, err
 	}
 	item, err := buf.Page().Item(v.DataOff)
@@ -31,7 +29,6 @@ func (ix *Index) entryState(v VID) (tid heap.TID, level uint16, dead bool, err e
 		level = decodeDataLevel(item)
 		dead = item[6] != 0
 	}
-	ix.tTuple.Stop(ts)
 	buf.Release()
 	return tid, level, dead, err
 }

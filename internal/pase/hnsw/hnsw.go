@@ -14,7 +14,6 @@ import (
 	"vecstudy/internal/pg/buffer"
 	"vecstudy/internal/pg/heap"
 	"vecstudy/internal/pg/page"
-	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -46,13 +45,6 @@ type Index struct {
 	tids  map[heap.TID]VID
 	tombs map[uint64]VID
 	dead  atomic.Int64 // tombstoned vertices awaiting Maintain
-
-	// The prof regions of the traversal loop, resolved once at Build
-	// (ctx.Prof never changes afterwards; all nil when profiling is off):
-	// a by-name lookup per distance and per adjacency read — a mutex and a
-	// map when profiling is on — would charge Fig 8's breakdown for its
-	// own bookkeeping.
-	tDist, tNb, tVisit, tTuple *prof.Timer
 
 	// walk and build serve inserts and Maintain, which mu serializes;
 	// every scan runs a walk of its own.
@@ -98,15 +90,11 @@ func Build(ctx *am.BuildContext) (am.Index, error) {
 	}
 
 	ix := &Index{
-		ctx:    ctx,
-		rng:    rand.New(rand.NewSource(int64(seed))),
-		tids:   make(map[heap.TID]VID),
-		tombs:  make(map[uint64]VID),
-		tDist:  ctx.Prof.Timer("fvec_L2sqr"),
-		tNb:    ctx.Prof.Timer("pasepfirst"),
-		tVisit: ctx.Prof.Timer("HVTGet"),
-		tTuple: ctx.Prof.Timer("tuple_access"),
-		walk:   hnswalk.Walker[VID]{BNN: bnn, EFB: efb, Phases: hnswalk.PhaseTimers(ctx.Prof)},
+		ctx:   ctx,
+		rng:   rand.New(rand.NewSource(int64(seed))),
+		tids:  make(map[heap.TID]VID),
+		tombs: make(map[uint64]VID),
+		walk:  hnswalk.Walker[VID]{BNN: bnn, EFB: efb},
 	}
 	ix.build = &graph{ix: ix, kern: refKern, ef: efb}
 	ix.meta = meta{
@@ -363,24 +351,19 @@ func (ix *Index) vectorCopy(v VID, dst []float32) ([]float32, error) {
 }
 
 // withVector pins the vertex's data page and exposes its vector in place
-// — the PASE "tuple access" path, timed as such.
+// — the PASE "tuple access" path, which Fig 8 reads by this frame.
 func (ix *Index) withVector(v VID, fn func([]float32)) error {
-	ts := ix.tTuple.Start()
 	buf, err := ix.ctx.Pool.Pin(ix.ctx.Rel, v.DataBlk)
 	if err != nil {
-		ix.tTuple.Stop(ts)
 		return err
 	}
 	item, err := buf.Page().Item(v.DataOff)
 	if err != nil {
-		ix.tTuple.Stop(ts)
 		buf.Release()
 		return err
 	}
 	_, _, _, _, vecBytes := decodeDataEntry(item)
-	view := pase.Float32View(vecBytes)
-	ix.tTuple.Stop(ts)
-	fn(view)
+	fn(pase.Float32View(vecBytes))
 	buf.Release()
 	return nil
 }
@@ -401,11 +384,7 @@ var refKern = vec.Ref()
 // through the buffer pool (tuple access + fvec_L2sqr, as Fig 8 splits).
 func (ix *Index) distTo(kern vec.Kernel, query []float32, v VID) (float32, error) {
 	var d float32
-	err := ix.withVector(v, func(view []float32) {
-		ts := ix.tDist.Start()
-		d = kern.L2Sqr(query, view)
-		ix.tDist.Stop(ts)
-	})
+	err := ix.withVector(v, func(view []float32) { d = kern.L2Sqr(query, view) })
 	return d, err
 }
 
@@ -452,14 +431,12 @@ func (ix *Index) eachSlot(v VID, fn func(slot []byte) (wrote, done bool)) error 
 // neighborsAt appends the used slots of v's list at level to dst. The
 // slot walk is the pasepfirst cost in Fig 8.
 func (ix *Index) neighborsAt(v VID, level uint16, dst []VID) ([]VID, error) {
-	ts := ix.tNb.Start()
 	err := ix.eachSlot(v, func(slot []byte) (bool, bool) {
 		if nb, slotLevel, used := decodeSlot(slot); used && slotLevel == level {
 			dst = append(dst, nb)
 		}
 		return false, false
 	})
-	ix.tNb.Stop(ts)
 	return dst, err
 }
 
@@ -504,15 +481,11 @@ func (g *graph) Expand(q []float32, v VID, level int, visit bool, dst []hnswalk.
 	}
 	for _, nb := range nbs {
 		if visit {
-			ts := ix.tVisit.Start()
-			_, seen := g.visited[nb.key()]
-			if !seen {
-				g.visited[nb.key()] = struct{}{}
-			}
-			ix.tVisit.Stop(ts)
-			if seen {
+			// HVTGet: Fig 8 reads it as the map frames under Expand.
+			if _, seen := g.visited[nb.key()]; seen {
 				continue
 			}
+			g.visited[nb.key()] = struct{}{}
 		}
 		d, err := ix.distTo(g.kern, q, nb)
 		if err != nil {

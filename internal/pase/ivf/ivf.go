@@ -37,7 +37,6 @@ import (
 	"vecstudy/internal/pase"
 	"vecstudy/internal/pg/am"
 	"vecstudy/internal/pg/heap"
-	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -60,14 +59,13 @@ type Codec interface {
 	PayloadSize() int
 	// Encode writes x's payload, given the centroid of its bucket.
 	Encode(x, centroid []float32, payload []byte)
-	// Rerank names the prof timer of the re-rank phase when payload
-	// distances are approximate and the best k·β candidates (β is
-	// am.ScanOpts.Rerank) are re-scored against the heap vectors; it
-	// returns "" when payload distances are final.
-	Rerank() (timer string)
+	// Rerank reports that payload distances are approximate, so the best
+	// k·β candidates (β is am.ScanOpts.Rerank) are re-scored against the
+	// heap vectors; false means payload distances are final.
+	Rerank() bool
 	// NewScorer prepares scoring for a batch of queries (a solo search is
 	// a batch of one).
-	NewScorer(kern vec.Kernel, queries []am.Query, pr *prof.Profile) Scorer
+	NewScorer(kern vec.Kernel, queries []am.Query) Scorer
 }
 
 // Scorer scores data entries against the queries of its batch, addressed

@@ -7,7 +7,6 @@ import (
 	"vecstudy/internal/pase"
 	"vecstudy/internal/pg/am"
 	"vecstudy/internal/pg/heap"
-	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -28,7 +27,7 @@ func (ix *Index) scanOpts(opts *am.ScanOpts) scanOpts {
 		opts = am.DefaultScanOpts()
 	}
 	o := scanOpts{nprobe: ix.clampProbes(opts.NProbe), threads: 1, heapK: opts.HeapK, kern: opts.Kernel}
-	if ix.codec.Rerank() != "" {
+	if ix.codec.Rerank() {
 		o.beta = max(opts.Rerank, 1)
 	} else {
 		o.threads = opts.Threads
@@ -137,7 +136,6 @@ type scanner struct {
 	sc      Scorer
 	queries []am.Query
 	sinks   []*sink
-	tHeap   *prof.Timer
 	visit   func(entries [][]byte) error // s.segment, bound once
 
 	walk    chainWalk
@@ -152,8 +150,7 @@ type scanner struct {
 func (ix *Index) newScanner(o scanOpts, queries []am.Query, sinks []*sink) *scanner {
 	s := &scanner{
 		ix: ix, queries: queries, sinks: sinks,
-		sc:    ix.codec.NewScorer(o.kern, queries, ix.ctx.Prof),
-		tHeap: ix.ctx.Prof.Timer("min-heap"),
+		sc: ix.codec.NewScorer(o.kern, queries),
 	}
 	s.visit = s.segment
 	return s
@@ -197,11 +194,9 @@ func (s *scanner) segment(entries [][]byte) error {
 	slices.Reverse(entries)
 	if n := len(s.plain); n > 0 {
 		dists := s.score(entries, s.plainQs, false)
-		ts := s.tHeap.Start()
 		for si, sb := range s.plain {
 			s.sinks[sb.qi].push(sb.rank, entries, dists, si, n)
 		}
-		s.tHeap.Stop(ts)
 	}
 	w := &s.walk
 	for _, sb := range s.gated {
@@ -220,9 +215,7 @@ func (s *scanner) segment(entries [][]byte) error {
 		}
 		s.one[0] = sb.qi
 		dists := s.score(w.kept, s.one[:], true)
-		ts := s.tHeap.Start()
 		s.sinks[sb.qi].push(sb.rank, w.kept, dists, 0, 1)
-		s.tHeap.Stop(ts)
 	}
 	return nil
 }
@@ -330,10 +323,7 @@ func (ix *Index) scanParallel(o scanOpts, query []am.Query, probes []int32, snk 
 // finish ranks a query's collected candidates and, for a re-ranking
 // codec, re-scores the survivors at full precision.
 func (ix *Index) finish(o scanOpts, query []float32, k int, snk *sink) ([]am.Result, error) {
-	tHeap := ix.ctx.Prof.Timer("min-heap")
-	ts := tHeap.Start()
 	items := snk.results(k)
-	tHeap.Stop(ts)
 	if o.beta > 0 {
 		var err error
 		if items, err = ix.rerank(o, query, k, items); err != nil {
@@ -352,9 +342,6 @@ func (ix *Index) finish(o scanOpts, query []float32, k int, snk *sink) ([]am.Res
 // visibility check doubles as the executor's re-check: a candidate whose
 // heap tuple died since its entry was written is skipped.
 func (ix *Index) rerank(o scanOpts, query []float32, k int, cands []minheap.Item) ([]minheap.Item, error) {
-	tRerank := ix.ctx.Prof.Timer(ix.codec.Rerank())
-	ts := tRerank.Start()
-	defer tRerank.Stop(ts)
 	top := minheap.NewTopK(k)
 	for _, it := range cands {
 		tid := unpackTID(it.ID)

@@ -45,14 +45,11 @@ func (w *chainWalk) release() {
 // the segments is the full bucket in chain order.
 func (ix *Index) walk(cid int32, w *chainWalk, perPage bool, visit func(entries [][]byte) error) error {
 	pool, rel := ix.ctx.Pool, ix.ctx.Rel
-	tTuple := ix.ctx.Prof.Timer("tuple_access")
-	ts := tTuple.Start()
 	var next uint32
 	err := ix.withBucket(int(cid), func(trailer []byte) (bool, error) {
 		next = binary.LittleEndian.Uint32(trailer[trHead:])
 		return false, nil
 	})
-	tTuple.Stop(ts)
 	if err != nil {
 		return err
 	}
@@ -67,9 +64,7 @@ func (ix *Index) walk(cid int32, w *chainWalk, perPage bool, visit func(entries 
 		return err
 	}
 	for next != pase.InvalidBlk {
-		ts := tTuple.Start()
 		dbuf, err := pool.Pin(rel, next)
-		tTuple.Stop(ts)
 		if err != nil {
 			if !errors.Is(err, buffer.ErrNoUnpinned) || len(w.pinned) == 0 {
 				w.release()
@@ -80,16 +75,12 @@ func (ix *Index) walk(cid int32, w *chainWalk, perPage bool, visit func(entries 
 			if err := flush(); err != nil {
 				return err
 			}
-			ts = tTuple.Start()
-			dbuf, err = pool.Pin(rel, next)
-			tTuple.Stop(ts)
-			if err != nil {
+			if dbuf, err = pool.Pin(rel, next); err != nil {
 				return err
 			}
 		}
 		w.pinned = append(w.pinned, dbuf)
 		pg := dbuf.Page()
-		ts = tTuple.Start()
 		n := pg.NumItems()
 		w.entries = slices.Grow(w.entries, int(n))
 		for i := uint16(1); i <= n; i++ {
@@ -98,13 +89,11 @@ func (ix *Index) walk(cid int32, w *chainWalk, perPage bool, visit func(entries 
 				if errors.Is(err, page.ErrDeadItem) {
 					continue // tombstoned entry: skip, reclaimed by Maintain
 				}
-				tTuple.Stop(ts)
 				w.release()
 				return err
 			}
 			w.entries = append(w.entries, item)
 		}
-		tTuple.Stop(ts)
 		next = pase.NextBlk(pg)
 		if perPage {
 			if err := flush(); err != nil {

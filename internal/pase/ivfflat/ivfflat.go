@@ -12,7 +12,6 @@ import (
 	"vecstudy/internal/pase"
 	"vecstudy/internal/pase/ivf"
 	"vecstudy/internal/pg/am"
-	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -64,11 +63,11 @@ func (c *Codec) PayloadSize() int { return c.dim * 4 }
 func (*Codec) Encode(x, _ []float32, payload []byte) { pase.PutFloat32s(payload, x) }
 
 // Rerank implements ivf.Codec: flat distances are final.
-func (*Codec) Rerank() string { return "" }
+func (*Codec) Rerank() bool { return false }
 
 // NewScorer implements ivf.Codec.
-func (c *Codec) NewScorer(kern vec.Kernel, queries []am.Query, pr *prof.Profile) ivf.Scorer {
-	return &scorer{kern: kern, dim: c.dim, queries: queries, tDist: pr.Timer("fvec_L2sqr")}
+func (c *Codec) NewScorer(kern vec.Kernel, queries []am.Query) ivf.Scorer {
+	return &scorer{kern: kern, dim: c.dim, queries: queries}
 }
 
 // scorer scores a segment with one kernel L2SqrNTRows call: the entries
@@ -85,7 +84,6 @@ type scorer struct {
 	kern    vec.Kernel
 	dim     int
 	queries []am.Query
-	tDist   *prof.Timer
 	rows    [][]float32
 	qf      []float32 // the subscriber queries gathered row-major
 }
@@ -107,7 +105,5 @@ func (s *scorer) Score(entries [][]byte, qs []int, _ bool, out []float32) {
 		}
 		s.qf = qf
 	}
-	ts := s.tDist.Start()
 	s.kern.L2SqrNTRows(s.rows, s.dim, qf, len(qs), out)
-	s.tDist.Stop(ts)
 }

@@ -19,7 +19,6 @@ import (
 	"vecstudy/internal/pase/ivf"
 	"vecstudy/internal/pg/am"
 	"vecstudy/internal/pq"
-	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -145,26 +144,24 @@ func (c *Codec) Encode(x, centroid []float32, payload []byte) {
 }
 
 // Rerank implements ivf.Codec: PASE returns the ADC distances as they are.
-func (*Codec) Rerank() string { return "" }
+func (*Codec) Rerank() bool { return false }
 
 // NewScorer implements ivf.Codec.
-func (c *Codec) NewScorer(_ vec.Kernel, queries []am.Query, pr *prof.Profile) ivf.Scorer {
+func (c *Codec) NewScorer(_ vec.Kernel, queries []am.Query) ivf.Scorer {
 	return &scorer{
 		quant: c.quant, queries: queries, slot: make([]int, len(queries)),
 		resid: make([]float32, c.quant.D),
-		tTab:  pr.Timer("precomputed-table"), tScan: pr.Timer("adc-scan"),
 	}
 }
 
 // scorer is asymmetric distance computation over per-(query, bucket)
 // tables.
 type scorer struct {
-	quant       *pq.Quantizer
-	queries     []am.Query
-	tTab, tScan *prof.Timer
-	resid       []float32
-	tabs        []float32 // one M×KSub table per subscriber of the current bucket
-	slot        []int     // batch index -> its table's row in tabs
+	quant   *pq.Quantizer
+	queries []am.Query
+	resid   []float32
+	tabs    []float32 // one M×KSub table per subscriber of the current bucket
+	slot    []int     // batch index -> its table's row in tabs
 }
 
 // Bucket implements ivf.Scorer: it rebuilds the query-to-codeword
@@ -178,10 +175,8 @@ func (s *scorer) Bucket(centroid []float32, qs []int) {
 		s.tabs = make([]float32, need)
 	}
 	for row, qi := range qs {
-		ts := s.tTab.Start()
 		residual(s.queries[qi].Vec, centroid, s.resid)
 		s.quant.DistanceTableNaive(s.resid, s.tabs[row*size:(row+1)*size])
-		s.tTab.Stop(ts)
 		s.slot[qi] = row
 	}
 }
@@ -189,7 +184,6 @@ func (s *scorer) Bucket(centroid []float32, qs []int) {
 // Score implements ivf.Scorer.
 func (s *scorer) Score(entries [][]byte, qs []int, _ bool, out []float32) {
 	m, ksub := s.quant.M, s.quant.KSub
-	ts := s.tScan.Start()
 	for si, qi := range qs {
 		tab := s.tabs[s.slot[qi]*m*ksub:]
 		for t, e := range entries {
@@ -201,5 +195,4 @@ func (s *scorer) Score(entries [][]byte, qs []int, _ bool, out []float32) {
 			out[t*len(qs)+si] = dist
 		}
 	}
-	s.tScan.Stop(ts)
 }

@@ -74,7 +74,7 @@ func TestCodecMatchesPQ(t *testing.T) {
 	centroids := ix.Centroids()
 	qv := testutil.Queries(3, 2)
 	queries := []am.Query{{Vec: qv[0]}, {Vec: qv[1]}}
-	sc := codec.NewScorer(vec.Default(), queries, nil).(*scorer)
+	sc := codec.NewScorer(vec.Default(), queries).(*scorer)
 	resid := make([]float32, dim)
 	tab := make([]float32, quant.M*quant.KSub)
 	for _, cid := range []int{0, 7, 15} {

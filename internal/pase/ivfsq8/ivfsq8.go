@@ -22,7 +22,6 @@ import (
 	"vecstudy/internal/pase"
 	"vecstudy/internal/pase/ivf"
 	"vecstudy/internal/pg/am"
-	"vecstudy/internal/prof"
 	"vecstudy/internal/vec"
 )
 
@@ -125,16 +124,15 @@ func (c *Codec) Encode(x, _ []float32, payload []byte) {
 // Rerank implements ivf.Codec: the k·β best candidates by code distance
 // are re-scored against the heap vectors (am.ScanOpts.Rerank, SET
 // sq8_rerank).
-func (*Codec) Rerank() string { return "sq8_rerank" }
+func (*Codec) Rerank() bool { return true }
 
 // NewScorer implements ivf.Codec. The query-side decomposition is the
 // same sequential transform whatever the batch, so each query's w and
 // ‖u‖² are bit-identical between solo and multi-query scans.
-func (c *Codec) NewScorer(kern vec.Kernel, queries []am.Query, pr *prof.Profile) ivf.Scorer {
+func (c *Codec) NewScorer(kern vec.Kernel, queries []am.Query) ivf.Scorer {
 	s := &scorer{
 		kern: kern, sq: c.sq, queries: queries,
 		w: make([][]float32, len(queries)), unorm: make([]float32, len(queries)),
-		tDist: pr.Timer("fvec_L2sqr"),
 	}
 	for i, q := range queries {
 		s.w[i] = make([]float32, len(q.Vec))
@@ -149,7 +147,6 @@ type scorer struct {
 	queries []am.Query
 	w       [][]float32 // per query: its decomposition...
 	unorm   []float32   // ...and its ‖u‖²
-	tDist   *prof.Timer
 	codes   [][]byte
 	col     []float32
 }
@@ -180,7 +177,6 @@ func (s *scorer) Score(entries [][]byte, qs []int, sparse bool, out []float32) {
 		}
 		col = s.col[:len(entries)]
 	}
-	ts := s.tDist.Start()
 	for si, qi := range qs {
 		if sparse {
 			s.kern.L2SqrSQ8Batch(s.queries[qi].Vec, s.codes, s.sq, col)
@@ -197,5 +193,4 @@ func (s *scorer) Score(entries [][]byte, qs []int, sparse bool, out []float32) {
 			out[t*n+si] = unorm - 2*col[t] + math.Float32frombits(binary.LittleEndian.Uint32(e[ivf.EntryHeaderSize:]))
 		}
 	}
-	s.tDist.Stop(ts)
 }

@@ -16,7 +16,6 @@ import (
 
 	"vecstudy/internal/pg/buffer"
 	"vecstudy/internal/pg/heap"
-	"vecstudy/internal/prof"
 )
 
 // Result is one index-scan hit: the heap tuple to fetch and its distance
@@ -34,7 +33,6 @@ type BuildContext struct {
 	VecCol int          // ordinal of the Float4Array column
 	Dim    int          // vector dimensionality (from the first tuple or DDL)
 	Opts   map[string]string
-	Prof   *prof.Profile // optional breakdown instrumentation
 }
 
 // Predicate decides whether the heap tuple at tid satisfies the query's

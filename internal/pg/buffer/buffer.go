@@ -352,20 +352,6 @@ func (p *Pool) Stats() Stats {
 	return total
 }
 
-// PartitionStats returns each partition's counters (for load-balance
-// inspection in the concurrency benchmarks).
-func (p *Pool) PartitionStats() []Stats {
-	parts := p.partitions()
-	out := make([]Stats, len(parts))
-	for i, pt := range parts {
-		pt.mu.Lock()
-		out[i] = pt.stats
-		out[i].LockWaits += pt.lockWaits.Load()
-		pt.mu.Unlock()
-	}
-	return out
-}
-
 // SetPartitions re-hashes the pool into n partitions (clamped like
 // NewPartitionedPool). It requires a quiescent pool — every buffer
 // unpinned — and fails with ErrPoolPinned otherwise. Dirty pages are

@@ -20,7 +20,6 @@ import (
 	"vecstudy/internal/pg/page"
 	"vecstudy/internal/pg/storage"
 	"vecstudy/internal/pg/wal"
-	"vecstudy/internal/prof"
 )
 
 // Config parameterizes Open.
@@ -44,8 +43,6 @@ type Config struct {
 	Dir string
 	// EnableWAL turns on write-ahead logging (file-backed only).
 	EnableWAL bool
-	// Prof attaches breakdown instrumentation to tables and indexes.
-	Prof *prof.Profile
 }
 
 // DB is an open database.
@@ -139,7 +136,6 @@ func (d *DB) reattach() error {
 		if err != nil {
 			return err
 		}
-		tbl.SetProf(d.cfg.Prof)
 		if d.wal != nil {
 			tbl.SetWAL(d.wal)
 		}
@@ -187,7 +183,6 @@ func (d *DB) CreateTable(name string, schema heap.Schema) (*heap.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl.SetProf(d.cfg.Prof)
 	if d.wal != nil {
 		tbl.SetWAL(d.wal)
 	}
@@ -381,7 +376,7 @@ func (d *DB) CreateIndex(name, table, column, amName string, opts map[string]str
 
 	ctx := &am.BuildContext{
 		Pool: d.pool, Rel: rel, Table: tbl, VecCol: col, Dim: dim,
-		Opts: opts, Prof: d.cfg.Prof,
+		Opts: opts,
 	}
 	idx, err := build(ctx)
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"vecstudy/internal/pg/buffer"
 	"vecstudy/internal/pg/page"
 	"vecstudy/internal/pg/wal"
-	"vecstudy/internal/prof"
 )
 
 // TID addresses one tuple: (block number, 1-based offset number), like
@@ -285,8 +284,7 @@ type Table struct {
 
 	sample sampler // reservoir of raw tuples for selectivity estimation
 
-	wal  *wal.Log
-	prof *prof.Profile
+	wal *wal.Log
 }
 
 // SampleCap is the reservoir capacity of the per-table tuple sample the
@@ -444,9 +442,6 @@ func (t *Table) DeadFraction() float64 {
 // SetWAL enables logical WAL logging of inserts.
 func (t *Table) SetWAL(l *wal.Log) { t.wal = l }
 
-// SetProf attaches breakdown instrumentation to tuple accesses.
-func (t *Table) SetProf(p *prof.Profile) { t.prof = p }
-
 // Insert encodes and stores one row, returning its TID.
 func (t *Table) Insert(values []any) (TID, error) {
 	tup, err := t.schema.Encode(values)
@@ -518,14 +513,11 @@ func (t *Table) logInsert(tup []byte) error {
 // and executor paths that may race a DELETE must use GetVisible (the
 // visibility check helper the vetvec deadvisibility rule enforces).
 func (t *Table) Get(tid TID, fn func(tup []byte) error) error {
-	ts := t.prof.Timer("tuple_access").Start()
 	buf, err := t.pool.Pin(t.rel, tid.Blk)
 	if err != nil {
-		t.prof.Timer("tuple_access").Stop(ts)
 		return err
 	}
 	item, err := buf.Page().Item(tid.Off)
-	t.prof.Timer("tuple_access").Stop(ts)
 	if err != nil {
 		buf.Release()
 		return fmt.Errorf("heap: %v: %w", tid, err)

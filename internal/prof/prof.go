@@ -1,208 +1,251 @@
-// Package prof provides the lightweight instrumentation that stands in
-// for the paper's use of Linux Perf and flame graphs. Both engines are
-// compiled with named region timers (tuple access, distance kernels,
-// min-heap maintenance, visited-set checks, …); a nil *Profile disables
-// all of them with a single pointer check so the non-profiled benchmark
-// paths stay representative.
+// Package prof stands in for the paper's use of Linux Perf: it samples
+// where a workload spends its CPU time, with no instrumentation in the
+// engines. Sample runs a function under the Go runtime's CPU profiler
+// (which acts on this process only) and decodes the profile it writes.
+// The breakdown tables (Table III, Table V, Fig 8) are read from the
+// stacks it returns by internal/bench's frame table.
 //
-// The breakdown tables in the paper (Table III, Table V, Fig 8) are
-// regenerated by enabling a Profile, running the workload, and rendering
-// Profile.Report.
+// The runtime's profile is a gzipped profile.proto. The standard
+// library's decoder is internal to it, so this package reads the few
+// messages it needs itself: samples, locations with their inlined lines,
+// functions and the string table.
 package prof
 
 import (
+	"bytes"
+	"compress/gzip"
+	"errors"
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
+	"io"
+	"runtime/pprof"
 )
 
-// Timer accumulates wall time and an invocation count for one named
-// region. All methods are safe for concurrent use and are no-ops on a nil
-// receiver.
-type Timer struct {
-	name  string
-	nanos atomic.Int64
-	count atomic.Int64
+// Stack is one distinct call stack the profiler caught.
+type Stack struct {
+	// Frames are function names, innermost first. A call the compiler
+	// inlined is a frame of its own, as in the source.
+	Frames []string
+	// Count is the number of samples that caught this stack.
+	Count int64
 }
 
-// Start returns the region start time, or the zero Time when the timer is
-// disabled (nil receiver). Pass the result to Stop.
-func (t *Timer) Start() time.Time {
-	if t == nil {
-		return time.Time{}
+// Sample runs fn under the CPU profiler at the runtime's default rate
+// (100 Hz) and returns the stacks it caught. Only one profile can run
+// in a process at a time; a second concurrent Sample fails.
+func Sample(fn func() error) ([]Stack, error) {
+	var buf bytes.Buffer
+	if err := pprof.StartCPUProfile(&buf); err != nil {
+		return nil, err
 	}
-	return time.Now()
+	err := fn()
+	pprof.StopCPUProfile()
+	if err != nil {
+		return nil, err
+	}
+	return decode(buf.Bytes())
 }
 
-// Stop records the elapsed time since start. A zero start (disabled timer)
-// is ignored.
-func (t *Timer) Stop(start time.Time) {
-	if t == nil || start.IsZero() {
-		return
-	}
-	t.nanos.Add(int64(time.Since(start)))
-	t.count.Add(1)
-}
+// Field numbers of the profile.proto messages decode reads.
+const (
+	profileSample   = 2
+	profileLocation = 4
+	profileFunction = 5
+	profileString   = 6
 
-// Add records an externally measured duration.
-func (t *Timer) Add(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.nanos.Add(int64(d))
-	t.count.Add(1)
-}
+	sampleLocation = 1
+	sampleValue    = 2
 
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.nanos.Load())
-}
+	locationID   = 1
+	locationLine = 4
 
-// Count returns the number of recorded observations.
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.count.Load()
-}
+	lineFunction = 1
 
-// Profile is a registry of named timers and counters. The zero value is
-// not usable; create one with New. A nil *Profile is the "profiling off"
-// state: Timer(...) returns nil, which disables the timers it hands out.
-type Profile struct {
-	mu       sync.Mutex
-	timers   map[string]*Timer
-	counters map[string]*atomic.Int64
-}
+	functionID   = 1
+	functionName = 2
+)
 
-// New returns an empty, enabled profile.
-func New() *Profile {
-	return &Profile{
-		timers:   make(map[string]*Timer),
-		counters: make(map[string]*atomic.Int64),
-	}
-}
+var errTruncated = errors.New("prof: truncated profile")
 
-// Timer returns the named timer, creating it on first use. On a nil
-// profile it returns nil (a disabled timer).
-func (p *Profile) Timer(name string) *Timer {
-	if p == nil {
-		return nil
+// decode reads a gzipped profile.proto into its stacks. Malformed input
+// is an error, never a panic.
+func decode(gz []byte) ([]Stack, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		return nil, fmt.Errorf("prof: %w", err)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t, ok := p.timers[name]
-	if !ok {
-		t = &Timer{name: name}
-		p.timers[name] = t
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		return nil, fmt.Errorf("prof: %w", err)
 	}
-	return t
-}
 
-// Count adds n to the named counter. No-op on a nil profile.
-func (p *Profile) Count(name string, n int64) {
-	if p == nil {
-		return
+	type sample struct {
+		locs  []uint64
+		count int64
 	}
-	p.mu.Lock()
-	c, ok := p.counters[name]
-	if !ok {
-		c = new(atomic.Int64)
-		p.counters[name] = c
-	}
-	p.mu.Unlock()
-	c.Add(n)
-}
-
-// Counter returns the current value of the named counter (0 if absent or
-// profile is nil).
-func (p *Profile) Counter(name string) int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if c, ok := p.counters[name]; ok {
-		return c.Load()
-	}
-	return 0
-}
-
-// Reset zeroes every timer and counter, keeping registrations (and the
-// *Timer pointers engines already hold) valid.
-func (p *Profile) Reset() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, t := range p.timers {
-		t.nanos.Store(0)
-		t.count.Store(0)
-	}
-	for _, c := range p.counters {
-		c.Store(0)
-	}
-}
-
-// Entry is one row of a breakdown report.
-type Entry struct {
-	Name    string
-	Total   time.Duration
-	Count   int64
-	Percent float64 // share of the report's reference total
-}
-
-// Report renders the timers as a breakdown against total, the
-// end-to-end wall time of the profiled phase. Regions are sorted by
-// descending time; the residual (total − sum of regions) is reported as
-// "others", matching how the paper's tables present Perf output. Timers
-// listed in nested are assumed to be sub-regions of other timers and are
-// excluded from the residual computation (but still reported).
-func (p *Profile) Report(total time.Duration, nested ...string) []Entry {
-	if p == nil {
-		return nil
-	}
-	isNested := make(map[string]bool, len(nested))
-	for _, n := range nested {
-		isNested[n] = true
-	}
-	p.mu.Lock()
-	entries := make([]Entry, 0, len(p.timers)+1)
-	var accounted time.Duration
-	for name, t := range p.timers {
-		e := Entry{Name: name, Total: t.Total(), Count: t.Count()}
-		if !isNested[name] {
-			accounted += e.Total
+	var (
+		samples   []sample
+		strs      []string
+		funcNames = map[uint64]uint64{}   // function id → string index
+		locFuncs  = map[uint64][]uint64{} // location id → function ids, innermost first
+	)
+	err = fields(raw, func(num int, v uint64, b []byte) error {
+		switch num {
+		case profileSample:
+			var s sample
+			var values []uint64
+			err := fields(b, func(num int, v uint64, b []byte) (err error) {
+				switch num {
+				case sampleLocation:
+					s.locs, err = appendVarints(s.locs, v, b)
+				case sampleValue:
+					values, err = appendVarints(values, v, b)
+				}
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			if len(values) == 0 {
+				return errors.New("prof: sample without a value")
+			}
+			s.count = int64(values[0])
+			samples = append(samples, s)
+		case profileLocation:
+			var id uint64
+			var funcs []uint64
+			err := fields(b, func(num int, v uint64, b []byte) error {
+				switch num {
+				case locationID:
+					id = v
+				case locationLine:
+					return fields(b, func(num int, v uint64, _ []byte) error {
+						if num == lineFunction {
+							funcs = append(funcs, v)
+						}
+						return nil
+					})
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			locFuncs[id] = funcs
+		case profileFunction:
+			var id, name uint64
+			err := fields(b, func(num int, v uint64, _ []byte) error {
+				switch num {
+				case functionID:
+					id = v
+				case functionName:
+					name = v
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			funcNames[id] = name
+		case profileString:
+			strs = append(strs, string(b))
 		}
-		entries = append(entries, e)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	p.mu.Unlock()
-	if total > accounted {
-		entries = append(entries, Entry{Name: "others", Total: total - accounted})
-	} else if total <= 0 {
-		total = accounted
-	}
-	for i := range entries {
-		if total > 0 {
-			entries[i].Percent = 100 * float64(entries[i].Total) / float64(total)
+
+	stacks := make([]Stack, 0, len(samples))
+	for _, s := range samples {
+		st := Stack{Count: s.count}
+		for _, loc := range s.locs {
+			funcs, ok := locFuncs[loc]
+			if !ok {
+				return nil, fmt.Errorf("prof: sample names unknown location %d", loc)
+			}
+			for _, f := range funcs {
+				name, ok := funcNames[f]
+				if !ok || name >= uint64(len(strs)) {
+					return nil, fmt.Errorf("prof: location %d names unknown function %d", loc, f)
+				}
+				st.Frames = append(st.Frames, strs[name])
+			}
 		}
+		stacks = append(stacks, st)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Total > entries[j].Total })
-	return entries
+	return stacks, nil
 }
 
-// FormatReport renders entries as an aligned text table.
-func FormatReport(entries []Entry) string {
-	var b strings.Builder
-	for _, e := range entries {
-		fmt.Fprintf(&b, "  %-28s %8.2f%%  %12v  (n=%d)\n", e.Name, e.Percent, e.Total.Round(time.Microsecond), e.Count)
+// fields calls fn for each field of the protobuf message b: v holds a
+// varint field's value, b a length-delimited field's bytes. Fixed-width
+// fields are skipped.
+func fields(b []byte, fn func(num int, v uint64, b []byte) error) error {
+	for len(b) > 0 {
+		key, n := varint(b)
+		if n == 0 {
+			return errTruncated
+		}
+		b = b[n:]
+		num, wire := int(key>>3), key&7
+		var v uint64
+		var body []byte
+		switch wire {
+		case 0: // varint
+			if v, n = varint(b); n == 0 {
+				return errTruncated
+			}
+			b = b[n:]
+		case 1: // fixed64
+			if len(b) < 8 {
+				return errTruncated
+			}
+			b = b[8:]
+		case 2: // length-delimited
+			l, n := varint(b)
+			if n == 0 || l > uint64(len(b)-n) {
+				return errTruncated
+			}
+			body, b = b[n:n+int(l)], b[n+int(l):]
+		case 5: // fixed32
+			if len(b) < 4 {
+				return errTruncated
+			}
+			b = b[4:]
+		default:
+			return fmt.Errorf("prof: field %d has unknown wire type %d", num, wire)
+		}
+		if err := fn(num, v, body); err != nil {
+			return err
+		}
 	}
-	return b.String()
+	return nil
+}
+
+// appendVarints appends a repeated varint field's values: one value (v)
+// when b is nil, else the packed run b holds.
+func appendVarints(dst []uint64, v uint64, b []byte) ([]uint64, error) {
+	if b == nil {
+		return append(dst, v), nil
+	}
+	for len(b) > 0 {
+		x, n := varint(b)
+		if n == 0 {
+			return dst, errTruncated
+		}
+		dst, b = append(dst, x), b[n:]
+	}
+	return dst, nil
+}
+
+// varint decodes a base-128 varint, returning 0 bytes read when b ends
+// inside it or it overflows 64 bits.
+func varint(b []byte) (uint64, int) {
+	var x uint64
+	for i := 0; i < len(b) && i < 10; i++ {
+		x |= uint64(b[i]&0x7f) << (7 * i)
+		if b[i] < 0x80 {
+			return x, i + 1
+		}
+	}
+	return 0, 0
 }

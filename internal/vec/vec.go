@@ -135,14 +135,6 @@ func (f *Flat) Append(x []float32) {
 	f.Data = append(f.Data, x...)
 }
 
-// AppendAll copies every row of data (row-major with f.D columns).
-func (f *Flat) AppendAll(data []float32) {
-	if len(data)%f.D != 0 {
-		panic("vec: AppendAll data not a multiple of D")
-	}
-	f.Data = append(f.Data, data...)
-}
-
 // Clone returns a deep copy of the matrix.
 func (f *Flat) Clone() *Flat {
 	data := make([]float32, len(f.Data))
