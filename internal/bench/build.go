@@ -142,7 +142,7 @@ func runTab3(cfg *Config) error {
 		cfg.printf("%s HNSW build on %s (total %v, %d samples):\n", engine, ds.Name, total.Round(time.Millisecond), b.total)
 		cfg.printShares(b.phases, tab3Phases, b.total)
 	}
-	cfg.printf("# note: shares of CPU samples at 100 Hz, ± a 95%% binomial spread\n")
+	cfg.printf("# note: shares of CPU samples at 100 Hz, with a 95%% Wilson interval\n")
 	return nil
 }
 
@@ -162,7 +162,7 @@ func runFig8(cfg *Config) error {
 		cfg.printf("%s SearchNbToAdd on %s (%d of %d build samples):\n", engine, ds.Name, n, b.total)
 		cfg.printShares(b.parts["SearchNbToAdd"], fig8Parts[engine], n)
 	}
-	cfg.printf("# note: shares of SearchNbToAdd's CPU samples at 100 Hz, ± a 95%% binomial spread\n")
+	cfg.printf("# note: shares of SearchNbToAdd's CPU samples at 100 Hz, with a 95%% Wilson interval\n")
 	return nil
 }
 

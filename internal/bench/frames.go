@@ -180,7 +180,7 @@ func tally(stacks []prof.Stack) breakdown {
 
 // printShares prints one row per name in order, and an "others" row for
 // the rest of the n samples, each as a share of n with its sample count
-// and a 95% binomial spread.
+// and its 95% Wilson interval.
 func (cfg *Config) printShares(counts map[string]int64, order []string, n int64) {
 	rest := n
 	for _, name := range order {
@@ -190,13 +190,30 @@ func (cfg *Config) printShares(counts map[string]int64, order []string, n int64)
 	cfg.printf("  %s\n", shareRow("others", rest, n))
 }
 
-// shareRow renders k of n samples as a percentage, with ±1.96 binomial
-// standard errors (the normal approximation).
+// shareRow renders k of n samples as a percentage with its 95% Wilson
+// interval.
 func shareRow(name string, k, n int64) string {
-	var p, spread float64
+	var p float64
 	if n > 0 {
 		p = float64(k) / float64(n)
-		spread = 1.96 * math.Sqrt(p*(1-p)/float64(n))
 	}
-	return fmt.Sprintf("%-16s %6.2f%% ±%5.2f  (n=%d/%d)", name, 100*p, 100*spread, k, n)
+	lo, hi := wilson(k, n)
+	return fmt.Sprintf("%-16s %6.2f%% [%5.2f, %6.2f]  (n=%d/%d)", name, 100*p, 100*lo, 100*hi, k, n)
+}
+
+// wilson is the 95% Wilson score interval of a binomial share k/n. Unlike
+// the normal approximation's ±1.96·√(p(1−p)/n), it does not collapse to
+// zero width at k = 0 or k = n, where a phase that drew no sample may
+// still hold a few percent of the time. n = 0 says nothing: [0, 1].
+func wilson(k, n int64) (lo, hi float64) {
+	if n <= 0 {
+		return 0, 1
+	}
+	const z = 1.96
+	nf := float64(n)
+	p := float64(k) / nf
+	d := 1 + z*z/nf
+	center := (p + z*z/(2*nf)) / d
+	half := z / d * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf))
+	return math.Max(0, center-half), math.Min(1, center+half)
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"debug/elf"
 	"debug/gosym"
+	"math"
 	"os"
 	"regexp"
 	"strconv"
@@ -70,10 +71,33 @@ func TestClassifySharesAndOthers(t *testing.T) {
 	}
 	var buf strings.Builder
 	(&Config{Out: &buf}).printShares(b.parts["SearchNbToAdd"], []string{partDist, partHVT}, b.phases["SearchNbToAdd"])
-	for _, want := range []string{"fvec_L2sqr        60.00% ±30.36  (n=6/10)", "HVTGet            20.00% ±24.79  (n=2/10)", "others            20.00% ±24.79  (n=2/10)"} {
+	for _, want := range []string{"fvec_L2sqr        60.00% [31.27,  83.18]  (n=6/10)", "HVTGet            20.00% [ 5.67,  50.98]  (n=2/10)", "others            20.00% [ 5.67,  50.98]  (n=2/10)"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("printShares output lacks %q:\n%s", want, buf.String())
 		}
+	}
+}
+
+// TestShareRowWilson: a share's interval keeps its width at 0/n and n/n,
+// where the normal approximation printed ±0.00; 0 of 187 samples still
+// allows about 2%.
+func TestShareRowWilson(t *testing.T) {
+	for _, c := range []struct {
+		k, n   int64
+		lo, hi float64
+	}{
+		{0, 187, 0, 0.0201},
+		{187, 187, 0.9799, 1},
+		{6, 10, 0.3127, 0.8318},
+		{0, 0, 0, 1},
+	} {
+		lo, hi := wilson(c.k, c.n)
+		if math.Abs(lo-c.lo) > 5e-5 || math.Abs(hi-c.hi) > 5e-5 {
+			t.Errorf("wilson(%d, %d) = [%.4f, %.4f], want [%.4f, %.4f]", c.k, c.n, lo, hi, c.lo, c.hi)
+		}
+	}
+	if got, want := shareRow("AddLink", 0, 187), "AddLink            0.00% [ 0.00,   2.01]  (n=0/187)"; got != want {
+		t.Errorf("shareRow = %q, want %q", got, want)
 	}
 }
 
@@ -160,8 +184,10 @@ func TestTab3SampledPhaseOrder(t *testing.T) {
 		}
 	}
 	t.Logf("phase samples: %v", phases)
-	if phases["SearchNbToAdd"] <= phases["AddLink"] {
-		t.Errorf("SearchNbToAdd %d samples, AddLink %d: want SearchNbToAdd ahead", phases["SearchNbToAdd"], phases["AddLink"])
+	for _, p := range []string{"ShrinkNbList", "AddLink"} {
+		if phases["SearchNbToAdd"] <= phases[p] {
+			t.Errorf("SearchNbToAdd %d samples, %s %d: want SearchNbToAdd ahead", phases["SearchNbToAdd"], p, phases[p])
+		}
 	}
 	for _, p := range []string{"SearchNbToAdd", "ShrinkNbList"} {
 		if phases[p] == 0 {
@@ -170,7 +196,7 @@ func TestTab3SampledPhaseOrder(t *testing.T) {
 	}
 }
 
-var shareRowRE = regexp.MustCompile(`^  (\S+)\s+(\d+\.\d+)% ±\s*\d+\.\d+  \(n=(\d+)/(\d+)\)$`)
+var shareRowRE = regexp.MustCompile(`^  (\S+)\s+(\d+\.\d+)% \[\s*\d+\.\d+,\s+\d+\.\d+\]  \(n=(\d+)/(\d+)\)$`)
 
 // checkShares asserts the shape of a breakdown driver's output: each
 // header is followed by share rows that carry n=k/N, whose counts sum to

@@ -163,7 +163,7 @@ func runTab5(cfg *Config) error {
 		// A search never enters Link: every sample's phase is "".
 		cfg.printShares(b.parts[""], tab5Parts, b.total)
 	}
-	cfg.printf("# note: shares of CPU samples at 100 Hz, ± a 95%% binomial spread\n")
+	cfg.printf("# note: shares of CPU samples at 100 Hz, with a 95%% Wilson interval\n")
 	return nil
 }
 

@@ -63,11 +63,10 @@ const (
 	// build. One kernel on both sides keeps a gap a statement about the
 	// engines (RC#2–RC#7) rather than about the instruction set;
 	// cmd/kernelgate gates that axis on its own. Every recorded figure
-	// ran on unrolled, which every host registers. One exception: the
-	// PASE HNSW build scores with ref (refKern in internal/pase/hnsw),
-	// so Fig 7, Tab III and Fig 8's build side compare a ref-built PASE
-	// graph against an unrolled-built Faiss one, and ref is about 1.7×
-	// slower per d = 128 distance (EXPERIMENTS.md, Fig 7).
+	// ran on unrolled, which every host registers. The PASE HNSW build
+	// scores with unrolled on every path (buildKern in
+	// internal/pase/hnsw), so both HNSW builds share a kernel as well as
+	// a walk.
 	PaperKernel = "unrolled"
 	// paperHeapK is RC#6's position: PASE's size-n candidate collector.
 	paperHeapK = false

@@ -71,9 +71,9 @@ type Walker[V any] struct {
 	cands candQueue[V]
 	res   topK[V]
 	// out holds search's results; nbs is Expand's buffer in search and
-	// greedy, and shrink's candidates; kept and rejected are
-	// selectNeighbors'; overflow is Link's.
-	out, nbs, kept, rejected, overflow []Scored[V]
+	// greedy, and shrink's candidates; kept is selectNeighbors'; overflow
+	// is Link's.
+	out, nbs, kept, overflow []Scored[V]
 }
 
 // Capacity is the list length at level: 2·BNN at level 0, BNN above.
@@ -177,15 +177,15 @@ func (w *Walker[V]) Knn(g Graph[V], q []float32, entry V, maxLevel, ef int) ([]S
 
 // selectNeighbors applies the diversification heuristic to cands, sorted by
 // ascending distance: a candidate is kept only if no kept vertex is
-// closer to it than the point they are scored against. If fewer than
-// capacity survive, the nearest rejected candidates fill the remaining
-// slots (keepPruned, as Faiss does). The result is valid until the next
-// selectNeighbors.
+// closer to it than the point they are scored against, up to capacity.
+// Pruned candidates are dropped, so a list may end below capacity and
+// take later reverse links without a rebuild. The result is valid until
+// the next selectNeighbors.
 func (w *Walker[V]) selectNeighbors(g Graph[V], cands []Scored[V], capacity int) ([]Scored[V], error) {
 	if len(cands) <= capacity {
 		return cands, nil
 	}
-	kept, rejected := w.kept[:0], w.rejected[:0]
+	kept := w.kept[:0]
 	for _, c := range cands {
 		if len(kept) >= capacity {
 			break
@@ -194,19 +194,11 @@ func (w *Walker[V]) selectNeighbors(g Graph[V], cands []Scored[V], capacity int)
 		if err != nil {
 			return nil, err
 		}
-		if occluded {
-			rejected = append(rejected, c)
-		} else {
+		if !occluded {
 			kept = append(kept, c)
 		}
 	}
-	for _, r := range rejected {
-		if len(kept) >= capacity {
-			break
-		}
-		kept = append(kept, r)
-	}
-	w.kept, w.rejected = kept, rejected
+	w.kept = kept
 	return kept, nil
 }
 

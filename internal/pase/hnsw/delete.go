@@ -75,9 +75,10 @@ func (ix *Index) DeadCount() int64 { return ix.dead.Load() }
 
 // Maintain implements am.Index: graph repair. For every live
 // vertex whose adjacency list references a tombstoned vertex, the list
-// is rebuilt from its remaining live neighbors plus the dead vertices'
-// own live neighbors (one-hop reconnection), re-ranked by the standard
-// diversification heuristic. Then a dead entry point is replaced by the
+// is rebuilt from its remaining live neighbors plus the live vertices
+// reached through its dead neighbors (a walk across any run of
+// tombstones that stops at the first live vertex on each path),
+// re-ranked by the standard diversification heuristic. Then a dead entry point is replaced by the
 // highest-levelled live vertex, and the dead data entries are unlinked.
 // The dead vertices' adjacency pages are orphaned — block reclamation
 // would need a free-space map the substrate doesn't have.
@@ -160,38 +161,37 @@ func (ix *Index) repairLevel(v VID, level uint16) error {
 	}
 	seen := map[uint64]bool{v.key(): true}
 	var cands []hnswalk.Scored[VID]
-	add := func(nb VID) error {
+	// visit takes a live vertex as a candidate and reconnects through a
+	// dead one's own neighbours, transitively, so the region a run of
+	// tombstones bridged stays reachable.
+	var visit func(nb VID) error
+	visit = func(nb VID) error {
 		if seen[nb.key()] {
 			return nil
 		}
 		seen[nb.key()] = true
-		if _, dead := ix.tombs[nb.key()]; dead {
-			return nil
-		}
-		d, err := g.Dist(vvec, nb)
-		if err != nil {
-			return err
-		}
-		cands = append(cands, hnswalk.Scored[VID]{V: nb, Dist: d})
-		return nil
-	}
-	for _, nb := range nbs {
 		if _, dead := ix.tombs[nb.key()]; !dead {
-			if err := add(nb); err != nil {
+			d, err := g.Dist(vvec, nb)
+			if err != nil {
 				return err
 			}
-			continue
+			cands = append(cands, hnswalk.Scored[VID]{V: nb, Dist: d})
+			return nil
 		}
-		// Reconnect through the dead neighbor's own live neighbors so
-		// the region it bridged stays reachable.
 		hops, err := ix.neighborsAt(nb, level, nil)
 		if err != nil {
 			return err
 		}
 		for _, hop := range hops {
-			if err := add(hop); err != nil {
+			if err := visit(hop); err != nil {
 				return err
 			}
+		}
+		return nil
+	}
+	for _, nb := range nbs {
+		if err := visit(nb); err != nil {
+			return err
 		}
 	}
 	return ix.walk.Relink(g, v, int(level), cands)

@@ -24,8 +24,8 @@ var gate = map[bool]struct {
 	adjacency           uint64
 	scanAllocs          float64
 }{
-	false: {8509769, 67664, 0xf7b4f75be2ccc2ac, 723},
-	true:  {8512768, 67664, 0xf7b4f75be2ccc2ac, 723},
+	false: {3425885, 65423, 0x572bbb64d1282d8, 698},
+	true:  {3428884, 65423, 0x572bbb64d1282d8, 698},
 }
 
 func TestPinsAndAdjacencyGate(t *testing.T) {

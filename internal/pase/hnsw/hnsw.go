@@ -96,7 +96,7 @@ func Build(ctx *am.BuildContext) (am.Index, error) {
 		tombs: make(map[uint64]VID),
 		walk:  hnswalk.Walker[VID]{BNN: bnn, EFB: efb},
 	}
-	ix.build = &graph{ix: ix, kern: refKern, ef: efb}
+	ix.build = &graph{ix: ix, kern: buildKern, ef: efb}
 	ix.meta = meta{
 		Dim: uint32(ctx.Dim), BNN: uint32(bnn), EFB: uint32(efb),
 		MaxLevel: -1, Entry: InvalidVID, LastDataBlk: pase.InvalidBlk,
@@ -374,11 +374,13 @@ func (ix *Index) tidOf(v VID) (heap.TID, error) {
 	return tid, err
 }
 
-// refKern pins graph construction and repair to the ref kernel: the
+// buildKern pins graph construction and repair to unrolled, the kernel
+// core.PaperKernel names, on which the specialized engine builds too: the
 // edges a vertex gets (and the repairs Delete/Maintain perform) must not
-// depend on the session's SET distance_kernel. Search paths thread the
-// session kernel (am.ScanOpts.Kernel) through distTo.
-var refKern = vec.Ref()
+// depend on the session's SET distance_kernel or the host's CPUID, and
+// both engines build the same graph. Search paths thread the session
+// kernel (am.ScanOpts.Kernel) through distTo.
+var buildKern, _ = vec.ForName("unrolled")
 
 // distTo computes the distance between query and the vertex's vector,
 // through the buffer pool (tuple access + fvec_L2sqr, as Fig 8 splits).
@@ -510,7 +512,11 @@ func (g *graph) Admit(v VID) (bool, error) {
 func (g *graph) Key(v VID) int64 { return int64(v.key()) }
 
 // Occluded pays a tuple access per vector it compares, unlike Faiss's
-// array reads; the arithmetic is not charged to fvec_L2sqr.
+// array reads; the arithmetic is not charged to fvec_L2sqr. A tombstoned
+// vertex occludes nothing: it stays in a list to route through, but a
+// live candidate it would shadow may have no other edge into it (an
+// UPDATE's new version beside its old one). Only inserts and Maintain
+// select neighbours, under ix.mu; during a build tombs is empty.
 func (g *graph) Occluded(c hnswalk.Scored[VID], kept []hnswalk.Scored[VID]) (bool, error) {
 	cvec, err := g.ix.vectorCopy(c.V, g.cbuf)
 	g.cbuf = cvec
@@ -518,6 +524,9 @@ func (g *graph) Occluded(c hnswalk.Scored[VID], kept []hnswalk.Scored[VID]) (boo
 		return false, err
 	}
 	for _, s := range kept {
+		if _, dead := g.ix.tombs[s.V.key()]; dead {
+			continue
+		}
 		var d float32
 		if err := g.ix.withVector(s.V, func(view []float32) {
 			d = g.kern.L2Sqr(cvec, view)

@@ -100,7 +100,7 @@ func TestPagedAndPackedAnswerIdentically(t *testing.T) {
 // deleted rows and several survivors share the top level, so the digest
 // holds only because electEntry breaks the tie by position, not by map
 // iteration order.
-const maintainDigest uint64 = 0xb3b1d84583183f1b
+const maintainDigest uint64 = 0xccc6c694ec78d072
 
 // TestDeleteMaintain walks the mutation life cycle: Delete hides an
 // entry at once (it is still traversed), Maintain repairs the graph
@@ -108,7 +108,8 @@ const maintainDigest uint64 = 0xb3b1d84583183f1b
 // repaired graph is byte-stable — every run answers with the recorded
 // (TID, Dist) lists — and its recall stays within a band of a fresh
 // rebuild over the survivors (only a band: repair reconnects through
-// one-hop neighbors, a rebuild re-runs insertion).
+// the live vertices nearest across each run of tombstones, a rebuild
+// re-runs insertion).
 func TestDeleteMaintain(t *testing.T) {
 	for _, packed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("packed=%v", packed), func(t *testing.T) {
@@ -284,6 +285,92 @@ func TestArgumentValidation(t *testing.T) {
 		} {
 			if _, err := ix.Scan(qs, nil); err == nil {
 				t.Errorf("Scan accepted k=%d", k)
+			}
+		}
+	}
+}
+
+// TestMaintainCrossesTombstoneRuns deletes runs of three consecutive
+// rows on a line. A live vertex beside a run sees only dead vertices on
+// that side, one and two hops out, so Maintain must walk the run to its
+// far end; otherwise repair cuts the line and every live row must still
+// be reachable from the entry point.
+func TestMaintainCrossesTombstoneRuns(t *testing.T) {
+	const n = 150
+	fx := testutil.NewAMFixture(t, 0, 8192, 4096)
+	for i := 0; i < n; i++ {
+		fx.Insert(t, linePoint(i, 0))
+	}
+	ix := buildHNSW(t, fx, false)
+	for i := 0; i < n; i++ {
+		if i%10 >= 4 && i%10 <= 6 {
+			if found, err := ix.Delete(nil, fx.TIDs[i]); err != nil || !found {
+				t.Fatalf("Delete row %d = (%v, %v)", i, found, err)
+			}
+		}
+	}
+	if _, err := ix.Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	opts := testutil.ScanOpts(t, map[string]string{"efs": "1000"})
+	for i := 0; i < n; i++ {
+		if i%10 >= 4 && i%10 <= 6 {
+			continue
+		}
+		got := testutil.MustScan(t, ix, []am.Query{{Vec: linePoint(i, 0), K: 1}}, opts)[0]
+		if len(got) != 1 || got[0].TID != fx.TIDs[i] {
+			t.Errorf("row %d is unreachable after Maintain: top-1 %v", i, got)
+		}
+	}
+}
+
+// linePoint is row i of a line through the fixture's space, moved off it
+// by off in two more coordinates.
+func linePoint(i int, off float32) []float32 {
+	v := make([]float32, testutil.AMFixtureDim)
+	v[0], v[1], v[2], v[3] = float32(i), float32(i), off, off
+	return v
+}
+
+// TestTombstoneDoesNotOccludeUpdate replays an UPDATE churn on a line,
+// as the SQL layer issues it (tombstone the old version, insert the new
+// one beside it): rows ≡ 0, 1 (mod 10) are deleted and rows ≡ 2 (mod 10)
+// move off the line by one unit in two more coordinates. A new version's
+// nearest live neighbour rebuilds its full list with the new vertex as
+// a candidate; the tombstoned old version sits closer to the new one
+// than that neighbour does, and if it occluded the new vertex the
+// heuristic would drop the only edge into it. Every new version must be
+// reachable, even before Maintain.
+func TestTombstoneDoesNotOccludeUpdate(t *testing.T) {
+	const n = 150
+	for _, packed := range []bool{false, true} {
+		fx := testutil.NewAMFixture(t, 0, 8192, 4096)
+		for i := 0; i < n; i++ {
+			fx.Insert(t, linePoint(i, 0))
+		}
+		ix := buildHNSW(t, fx, packed)
+		moved := map[int]heap.TID{}
+		for i := 0; i < n; i++ {
+			if i%10 > 2 {
+				continue
+			}
+			if found, err := ix.Delete(nil, fx.TIDs[i]); err != nil || !found {
+				t.Fatalf("Delete row %d = (%v, %v)", i, found, err)
+			}
+			if i%10 == 2 {
+				v := linePoint(i, 1)
+				tid := fx.Insert(t, v)
+				if err := ix.Insert(v, tid); err != nil {
+					t.Fatal(err)
+				}
+				moved[i] = tid
+			}
+		}
+		opts := testutil.ScanOpts(t, map[string]string{"efs": "1000"})
+		for i, tid := range moved {
+			got := testutil.MustScan(t, ix, []am.Query{{Vec: linePoint(i, 1), K: 1}}, opts)[0]
+			if len(got) != 1 || got[0].TID != tid {
+				t.Errorf("packed=%v: the new version of row %d is unreachable: top-1 %v", packed, i, got)
 			}
 		}
 	}
