@@ -63,11 +63,10 @@ const (
 	// build. One kernel on both sides keeps a gap a statement about the
 	// engines (RC#2–RC#7) rather than about the instruction set;
 	// cmd/kernelgate gates that axis on its own. Every recorded figure
-	// ran on unrolled, which every host registers. The PASE HNSW build
-	// scores with unrolled on every path (buildKern in
-	// internal/pase/hnsw), so both HNSW builds share a kernel as well as
-	// a walk.
-	PaperKernel = "unrolled"
+	// ran on unrolled, which every host registers. It is the kernel the
+	// PASE HNSW build scores with on every path (vec.GraphKernelName),
+	// so both HNSW builds share a kernel as well as a walk.
+	PaperKernel = vec.GraphKernelName
 	// paperHeapK is RC#6's position: PASE's size-n candidate collector.
 	paperHeapK = false
 	// paperPacked is RC#4's position: a page chain per adjacency list.
@@ -81,7 +80,7 @@ const (
 var paperHeap, _ = (&am.ScanOpts{HeapK: paperHeapK}).Get("heap")
 
 // paperKern is the kernel PaperKernel names.
-var paperKern, _ = vec.ForName(PaperKernel)
+var paperKern = vec.GraphKernel()
 
 // PaperPositions renders the pinned positions for an experiment header.
 func PaperPositions() string {

@@ -13,8 +13,8 @@ import (
 	_ "vecstudy/internal/pase/hnsw" // registers USING hnsw
 )
 
-// TestEnginesBuildTheSameGraph: with unrolled, the kernel both builds
-// score with, on both sides' searches too, the
+// TestEnginesBuildTheSameGraph: with vec.GraphKernel, the kernel both
+// builds score with, on both sides' searches too, the
 // same seed, bnn and efb, and the same rows in TID order, Faiss's flat
 // arrays and PASE's pages (either layout) hold one graph, so every
 // query answers with identical (row, distance) lists at every efs. The
@@ -24,11 +24,7 @@ import (
 func TestEnginesBuildTheSameGraph(t *testing.T) {
 	const n, k = 1000, 10
 	fx := testutil.NewAMFixture(t, n, 8192, 4096)
-	unrolled, err := vec.ForName("unrolled")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fix, err := faisshnsw.New(faisshnsw.Options{Dim: testutil.AMFixtureDim, Kernel: unrolled, BNN: 8, EFB: 40, Seed: 1})
+	fix, err := faisshnsw.New(faisshnsw.Options{Dim: testutil.AMFixtureDim, Kernel: vec.GraphKernel(), BNN: 8, EFB: 40, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +37,7 @@ func TestEnginesBuildTheSameGraph(t *testing.T) {
 	for _, packed := range []bool{false, true} {
 		pix := fx.Build(t, "hnsw", map[string]string{"bnn": "8", "efb": "40", "seed": "1", "packed": fmt.Sprint(packed)})
 		for _, efs := range []int{10, 40, 200} {
-			opts := testutil.ScanOpts(t, map[string]string{"distance_kernel": "unrolled", "efs": fmt.Sprint(efs)})
+			opts := testutil.ScanOpts(t, map[string]string{"distance_kernel": vec.GraphKernelName, "efs": fmt.Sprint(efs)})
 			for qi, q := range queries {
 				want, err := fix.Search(q, k, efs)
 				if err != nil {

@@ -76,12 +76,13 @@ func (ix *Index) DeadCount() int64 { return ix.dead.Load() }
 // Maintain implements am.Index: graph repair. For every live
 // vertex whose adjacency list references a tombstoned vertex, the list
 // is rebuilt from its remaining live neighbors plus the live vertices
-// reached through its dead neighbors (a walk across any run of
-// tombstones that stops at the first live vertex on each path),
-// re-ranked by the standard diversification heuristic. Then a dead entry point is replaced by the
-// highest-levelled live vertex, and the dead data entries are unlinked.
-// The dead vertices' adjacency pages are orphaned — block reclamation
-// would need a free-space map the substrate doesn't have.
+// reached through its dead neighbors (a breadth-first walk across runs
+// of tombstones, bounded per list: see repairLevel), re-ranked by the
+// standard diversification heuristic. Then a dead entry point is
+// replaced by the highest-levelled live vertex, and the dead data
+// entries are unlinked. The dead vertices' adjacency pages are orphaned
+// — block reclamation would need a free-space map the substrate doesn't
+// have.
 //
 // Per-vertex repairs are order-independent: a rewrite reads only the
 // vertex's own list and dead vertices' lists, and dead lists are never
@@ -137,7 +138,14 @@ func (ix *Index) Maintain() (int64, error) {
 }
 
 // repairLevel rewrites v's adjacency list at one level if it references
-// any tombstoned vertex.
+// any tombstoned vertex. Its live neighbours stay candidates, and its
+// dead ones are expanded breadth-first, by hop, so a run of tombstones
+// is crossed to the live vertices beyond it. Every dead neighbour of v
+// is expanded; past that first hop the walk goes on only while it holds
+// fewer than budget = max(efb, capacity) candidates — the pool an
+// insert selects a list from — and has expanded fewer than budget dead
+// vertices. A repair so costs a bounded number of list reads and
+// distances however large the tombstoned region it borders.
 func (ix *Index) repairLevel(v VID, level uint16) error {
 	nbs, err := ix.neighborsAt(v, level, nil)
 	if err != nil {
@@ -159,39 +167,44 @@ func (ix *Index) repairLevel(v VID, level uint16) error {
 	if err != nil {
 		return err
 	}
+	budget := max(ix.walk.EFB, ix.walk.Capacity(int(level)))
 	seen := map[uint64]bool{v.key(): true}
 	var cands []hnswalk.Scored[VID]
-	// visit takes a live vertex as a candidate and reconnects through a
-	// dead one's own neighbours, transitively, so the region a run of
-	// tombstones bridged stays reachable.
-	var visit func(nb VID) error
-	visit = func(nb VID) error {
+	var dead []VID // queue of dead vertices to expand, in hop order
+	visit := func(nb VID) error {
 		if seen[nb.key()] {
 			return nil
 		}
 		seen[nb.key()] = true
-		if _, dead := ix.tombs[nb.key()]; !dead {
-			d, err := g.Dist(vvec, nb)
-			if err != nil {
-				return err
-			}
-			cands = append(cands, hnswalk.Scored[VID]{V: nb, Dist: d})
+		if _, ok := ix.tombs[nb.key()]; ok {
+			dead = append(dead, nb)
 			return nil
 		}
-		hops, err := ix.neighborsAt(nb, level, nil)
+		d, err := g.Dist(vvec, nb)
 		if err != nil {
+			return err
+		}
+		cands = append(cands, hnswalk.Scored[VID]{V: nb, Dist: d})
+		return nil
+	}
+	for _, nb := range nbs {
+		if err := visit(nb); err != nil {
+			return err
+		}
+	}
+	firstHop := len(dead)
+	var hops []VID
+	for i := 0; i < len(dead); i++ {
+		if i >= firstHop && (i >= budget || len(cands) >= budget) {
+			break
+		}
+		if hops, err = ix.neighborsAt(dead[i], level, hops[:0]); err != nil {
 			return err
 		}
 		for _, hop := range hops {
 			if err := visit(hop); err != nil {
 				return err
 			}
-		}
-		return nil
-	}
-	for _, nb := range nbs {
-		if err := visit(nb); err != nil {
-			return err
 		}
 	}
 	return ix.walk.Relink(g, v, int(level), cands)

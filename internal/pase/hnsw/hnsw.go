@@ -374,13 +374,13 @@ func (ix *Index) tidOf(v VID) (heap.TID, error) {
 	return tid, err
 }
 
-// buildKern pins graph construction and repair to unrolled, the kernel
-// core.PaperKernel names, on which the specialized engine builds too: the
-// edges a vertex gets (and the repairs Delete/Maintain perform) must not
-// depend on the session's SET distance_kernel or the host's CPUID, and
-// both engines build the same graph. Search paths thread the session
-// kernel (am.ScanOpts.Kernel) through distTo.
-var buildKern, _ = vec.ForName("unrolled")
+// buildKern pins graph construction and repair to vec.GraphKernel, on
+// which the specialized engine builds too: the edges a vertex gets (and
+// the repairs Delete/Maintain perform) must not depend on the session's
+// SET distance_kernel or the host's CPUID, and both engines build the
+// same graph. Search paths thread the session kernel
+// (am.ScanOpts.Kernel) through distTo.
+var buildKern = vec.GraphKernel()
 
 // distTo computes the distance between query and the vertex's vector,
 // through the buffer pool (tuple access + fvec_L2sqr, as Fig 8 splits).

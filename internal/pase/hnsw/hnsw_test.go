@@ -100,7 +100,7 @@ func TestPagedAndPackedAnswerIdentically(t *testing.T) {
 // deleted rows and several survivors share the top level, so the digest
 // holds only because electEntry breaks the tie by position, not by map
 // iteration order.
-const maintainDigest uint64 = 0xccc6c694ec78d072
+const maintainDigest uint64 = 0xbcbda87a87b6b2dc
 
 // TestDeleteMaintain walks the mutation life cycle: Delete hides an
 // entry at once (it is still traversed), Maintain repairs the graph
@@ -108,8 +108,8 @@ const maintainDigest uint64 = 0xccc6c694ec78d072
 // repaired graph is byte-stable — every run answers with the recorded
 // (TID, Dist) lists — and its recall stays within a band of a fresh
 // rebuild over the survivors (only a band: repair reconnects through
-// the live vertices nearest across each run of tombstones, a rebuild
-// re-runs insertion).
+// the live vertices a bounded walk across the tombstones reaches, a
+// rebuild re-runs insertion).
 func TestDeleteMaintain(t *testing.T) {
 	for _, packed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("packed=%v", packed), func(t *testing.T) {
@@ -372,6 +372,63 @@ func TestTombstoneDoesNotOccludeUpdate(t *testing.T) {
 			if len(got) != 1 || got[0].TID != tid {
 				t.Errorf("packed=%v: the new version of row %d is unreachable: top-1 %v", packed, i, got)
 			}
+		}
+	}
+}
+
+// TestMaintainCostIsLinear deletes two rows in three and counts the
+// buffer pins of one Maintain at n and at 2n rows. A repair expands at
+// most a fixed budget of dead vertices per list, so the count grows
+// with the live rows; a walk bounded only by the tombstoned region
+// costs live × dead, and doubling n would about quadruple it.
+func TestMaintainCostIsLinear(t *testing.T) {
+	if testutil.Race && testing.Short() {
+		t.Skip("single-goroutine pin count; runs without -short or -race")
+	}
+	maintainPins := func(n int) int64 {
+		fx := testutil.NewAMFixture(t, n, 8192, 8192)
+		ix := buildHNSW(t, fx, false)
+		for row, tid := range fx.TIDs {
+			if row%3 == 0 {
+				continue
+			}
+			if found, err := ix.Delete(nil, tid); err != nil || !found {
+				t.Fatalf("Delete row %d = (%v, %v)", row, found, err)
+			}
+		}
+		st := fx.Pool.Stats()
+		before := st.Hits + st.Misses
+		if _, err := ix.Maintain(); err != nil {
+			t.Fatal(err)
+		}
+		st = fx.Pool.Stats()
+		return st.Hits + st.Misses - before
+	}
+	small, large := maintainPins(1200), maintainPins(2400)
+	t.Logf("Maintain pins at 2/3 deleted: %d at 1,200 rows, %d at 2,400", small, large)
+	if large > 3*small {
+		t.Errorf("Maintain pins grew %.2f× when the rows doubled: want at most 3×", float64(large)/float64(small))
+	}
+}
+
+// BenchmarkMaintain times one Maintain of a 3,000-row index (bnn 8,
+// efb 40, paged) with two rows in three deleted; the build and the
+// deletes are not timed.
+func BenchmarkMaintain(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fx := testutil.NewAMFixture(b, 3000, 8192, 8192)
+		ix := fx.Build(b, "hnsw", map[string]string{"bnn": "8", "efb": "40", "seed": "1", "packed": "false"}).(*Index)
+		for row, tid := range fx.TIDs {
+			if row%3 != 0 {
+				if _, err := ix.Delete(nil, tid); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StartTimer()
+		if _, err := ix.Maintain(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -166,6 +166,20 @@ func Ref() Kernel {
 	return kernels["ref"]
 }
 
+// GraphKernelName names the kernel both HNSW engines build and repair
+// their graphs with. It is pure Go, so a graph's edges depend neither on
+// a session's SET distance_kernel nor on the host's CPUID, and the
+// specialized and the generalized engine build the same graph.
+const GraphKernelName = "unrolled"
+
+// GraphKernel returns the kernel GraphKernelName names; init registers
+// it on every host.
+func GraphKernel() Kernel {
+	kernelMu.RLock()
+	defer kernelMu.RUnlock()
+	return kernels[GraphKernelName]
+}
+
 // Default returns the default kernel: the fastest one this host
 // registered.
 func Default() Kernel {
