@@ -52,9 +52,9 @@ func randVecs(n, d int) []float32 {
 
 // shapes mirrors internal/vec's BenchmarkKernel* surface: solo and
 // batch distance shapes at a cache-resident and a larger dimension,
-// the page-segment shape the flat scan scores with, the NT
-// centroid-scoring shape, and the SQ8 asymmetric forms — solo,
-// page-batch, and the decomposed scan's uint8 dot product.
+// the page-segment shape the flat scan scores with, and the SQ8
+// asymmetric forms — solo, page-batch, and the decomposed scan's uint8
+// dot product.
 func shapes() []shape {
 	var out []shape
 	for _, d := range []int{128, 960} {
@@ -108,17 +108,6 @@ func shapes() []shape {
 			},
 		})
 	}
-	out = append(out, shape{
-		name: "nt/m=256,n=8,d=128",
-		run: func(k vec.Kernel, b *testing.B) {
-			const m, n, d = 256, 8, 128
-			a, c := randVecs(m, d), randVecs(n, d)
-			dst := make([]float32, m*n)
-			for i := 0; i < b.N; i++ {
-				k.L2SqrNT(a, m, d, c, n, dst)
-			}
-		},
-	})
 	out = append(out, shape{
 		name: "sq8/d=128",
 		run: func(k vec.Kernel, b *testing.B) {

@@ -5,14 +5,17 @@
 // pinned buffers always released (RC#2), pinned-page memory never
 // outliving its pin, no blocking calls under a buffer-partition mutex
 // (RC#3), SQLSTATEs drawn from declared constants, no fire-and-forget
-// goroutines on serving paths — checked mechanically instead of by
-// convention.
+// goroutines on serving paths, no exported function that only tests
+// call — checked mechanically instead of by convention.
 //
 // Before any analyzer runs, an interprocedural summary table is built
 // over every loaded package (see internal/analysis/summary.go), so
 // pinrelease and pagealias see through helper calls: a helper that
 // releases on behalf of its caller, or returns a slice into a pinned
-// frame, is known by summary rather than trusted by directive.
+// frame, is known by summary rather than trusted by directive. The same
+// table indexes which functions the module names, for deadexport; that
+// question needs the whole module, so a narrower pattern than ./...
+// turns deadexport off rather than letting it guess.
 //
 // Usage:
 //
@@ -37,6 +40,7 @@ import (
 	"sync"
 
 	"vecstudy/internal/analysis"
+	"vecstudy/internal/analysis/deadexport"
 	"vecstudy/internal/analysis/deadvisibility"
 	"vecstudy/internal/analysis/gohygiene"
 	"vecstudy/internal/analysis/load"
@@ -55,6 +59,7 @@ var analyzers = []*analysis.Analyzer{
 	gohygiene.Analyzer,
 	deadvisibility.Analyzer,
 	rawdistance.Analyzer,
+	deadexport.Analyzer,
 }
 
 // finding is one diagnostic with its resolved position, the unit of
@@ -113,6 +118,11 @@ func main() {
 		})
 	}
 	summaries := analysis.BuildSummaries(inputs)
+	summaries.Partial = !loader.Covers(pkgs)
+	if summaries.External, err = loader.SiblingSelectors(); err != nil {
+		fmt.Fprintln(os.Stderr, "vetvec:", err)
+		os.Exit(2)
+	}
 
 	// vetvec does not analyze itself: analyzer sources and fixtures
 	// quote the very patterns the checkers flag.

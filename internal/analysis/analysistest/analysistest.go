@@ -41,41 +41,89 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, fixture string) {
 // only fires inside the serving packages).
 func RunPath(t *testing.T, dir string, a *analysis.Analyzer, fixture, importPath string) {
 	t.Helper()
-	fixtureDir := filepath.Join(dir, "testdata", "src", fixture)
+	run(t, dir, a, []string{fixture}, []string{importPath}, nil, false)
+}
+
+// Module describes a fixture of several packages, for analyzers that
+// answer whole-module questions. Pkgs are directories under
+// testdata/src, loaded in order under the import path
+// "vetvecfixture/<dir>", so a package may import any listed before it.
+// Siblings are directories under testdata/src that stand for sibling
+// modules: they are parsed for selector names, never type-checked.
+// Partial marks the load as less than the whole module.
+type Module struct {
+	Pkgs     []string
+	Siblings []string
+	Partial  bool
+}
+
+// RunModule loads every package of m, builds one summary table over all
+// of them, applies the analyzer to each, and checks the diagnostics
+// against the want comments of every package.
+func RunModule(t *testing.T, dir string, a *analysis.Analyzer, m Module) {
+	t.Helper()
+	paths := make([]string, len(m.Pkgs))
+	for i, p := range m.Pkgs {
+		paths[i] = "vetvecfixture/" + p
+	}
+	siblings := make([]string, len(m.Siblings))
+	for i, s := range m.Siblings {
+		siblings[i] = filepath.Join(dir, "testdata", "src", s)
+	}
+	external, err := load.SelectorNames(siblings...)
+	if err != nil {
+		t.Fatalf("sibling sources: %v", err)
+	}
+	run(t, dir, a, m.Pkgs, paths, external, m.Partial)
+}
+
+func run(t *testing.T, dir string, a *analysis.Analyzer, fixtures, importPaths []string, external map[string]bool, partial bool) {
+	t.Helper()
 	loader, err := load.NewLoader(dir)
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	pkg, err := loader.Dir(fixtureDir, importPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", fixtureDir, err)
+	var pkgs []*load.Package
+	var expects []*expectation
+	var inputs []analysis.SummaryInput
+	for i, fixture := range fixtures {
+		fixtureDir := filepath.Join(dir, "testdata", "src", fixture)
+		pkg, err := loader.Dir(fixtureDir, importPaths[i])
+		if err != nil {
+			t.Fatalf("loading fixture %s: %v", fixtureDir, err)
+		}
+		pkgs = append(pkgs, pkg)
+		expects = append(expects, collectWants(t, pkg)...)
+		inputs = append(inputs, analysis.SummaryInput{Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info, Pkg: pkg.Types})
 	}
-
-	expects := collectWants(t, pkg)
 
 	// Fixtures get the same interprocedural context as a real run: a
-	// summary table over the fixture package itself, so multi-function
-	// escape/transfer/borrow cases resolve through their own helpers.
-	summaries := analysis.BuildSummaries([]analysis.SummaryInput{
-		{Fset: pkg.Fset, Files: pkg.Files, Info: pkg.Info, Pkg: pkg.Types},
-	})
+	// summary table over the fixture packages themselves, so
+	// multi-function escape/transfer/borrow cases resolve through their
+	// own helpers.
+	summaries := analysis.BuildSummaries(inputs)
+	summaries.External = external
+	summaries.Partial = partial
 
 	var diags []analysis.Diagnostic
-	pass := &analysis.Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		Info:      pkg.Info,
-		Summaries: summaries,
-		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-	}
-	if err := a.Run(pass); err != nil {
-		t.Fatalf("analyzer %s: %v", a.Name, err)
+	for _, pkg := range pkgs {
+		pass := &analysis.Pass{
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			Info:      pkg.Info,
+			Summaries: summaries,
+			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+		}
+		if err := a.Run(pass); err != nil {
+			t.Fatalf("analyzer %s: %v", a.Name, err)
+		}
 	}
 
+	fset := pkgs[0].Fset
 	for _, d := range diags {
-		pos := pkg.Fset.Position(d.Pos)
+		pos := fset.Position(d.Pos)
 		if !claim(expects, pos.Filename, pos.Line, d.Message) {
 			t.Errorf("%s:%d: unexpected diagnostic: %s", filepath.Base(pos.Filename), pos.Line, d.Message)
 		}

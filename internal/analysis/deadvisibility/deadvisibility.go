@@ -7,8 +7,7 @@
 // GetVector are raw — they return a tuple's bytes whether or not the
 // tuple has been deleted (the heap only errors once VACUUM reclaims the
 // slot, so between DELETE and VACUUM a raw read resurrects the row).
-// GetVisible, GetVectorVisible, and Visible are the sanctioned scan-path
-// forms: they report ok=false for a dead tuple and the caller skips it.
+// GetVisible and GetVectorVisible are the sanctioned scan-path forms: they report ok=false for a dead tuple and the caller skips it.
 //
 // In the scan-path packages — the access methods (internal/pase/...),
 // the pgvector adapter, the SQL executor, and the core harness — every
@@ -34,7 +33,7 @@ const HeapPath = "vecstudy/internal/pg/heap"
 // Analyzer is the dead-tuple-visibility checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "deadvisibility",
-	Doc:  "scan-path packages must read heap tuples through GetVisible/GetVectorVisible/Visible, not raw Get/GetVector",
+	Doc:  "scan-path packages must read heap tuples through GetVisible/GetVectorVisible, not raw Get/GetVector",
 	Run:  run,
 }
 

@@ -18,6 +18,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -56,6 +57,9 @@ type Loader struct {
 
 	mu      sync.Mutex
 	exports map[string]string // import path -> export data file
+
+	modPkgs []string                  // the module's own packages
+	local   map[string]*types.Package // fixture packages loaded by Dir
 }
 
 // NewLoader builds a loader for the module containing dir. It runs
@@ -75,9 +79,102 @@ func NewLoader(dir string) (*Loader, error) {
 		if p.Export != "" {
 			l.exports[p.ImportPath] = p.Export
 		}
+		if !p.DepOnly {
+			l.modPkgs = append(l.modPkgs, p.ImportPath)
+		}
 	}
-	l.imp = importer.ForCompiler(l.fset, "gc", l.lookup).(types.ImporterFrom)
+	l.local = make(map[string]*types.Package)
+	l.imp = localFirst{l.local, importer.ForCompiler(l.fset, "gc", l.lookup).(types.ImporterFrom)}
 	return l, nil
+}
+
+// localFirst resolves imports of packages Dir already loaded from
+// source, so one fixture package can import another, and hands every
+// other path to the export-data importer.
+type localFirst struct {
+	local map[string]*types.Package
+	next  types.ImporterFrom
+}
+
+func (i localFirst) Import(path string) (*types.Package, error) {
+	return i.ImportFrom(path, "", 0)
+}
+
+func (i localFirst) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if p, ok := i.local[path]; ok {
+		return p, nil
+	}
+	return i.next.ImportFrom(path, dir, mode)
+}
+
+// Covers reports whether pkgs include every package of the module: the
+// condition for a whole-module question such as "does anything outside
+// a test call this".
+func (l *Loader) Covers(pkgs []*Package) bool {
+	have := make(map[string]bool, len(pkgs))
+	for _, p := range pkgs {
+		have[p.Path] = true
+	}
+	for _, path := range l.modPkgs {
+		if !have[path] {
+			return false
+		}
+	}
+	return true
+}
+
+// SiblingSelectors returns SelectorNames over the modules nested under
+// the module root: directories with their own go.mod, such as
+// benchmark/, which ./... does not reach.
+func (l *Loader) SiblingSelectors() (map[string]bool, error) {
+	var dirs []string
+	err := filepath.WalkDir(l.ModRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == l.ModRoot {
+			return err
+		}
+		if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			dirs = append(dirs, path)
+			return filepath.SkipDir
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return SelectorNames(dirs...)
+}
+
+// SelectorNames parses every Go file under dirs, tests included, and
+// returns the name selected by every x.Name expression. The files are
+// not type-checked, so a name stands for every function that has it.
+func SelectorNames(dirs ...string) (map[string]bool, error) {
+	names := make(map[string]bool)
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					names[sel.Sel.Name] = true
+				}
+				return true
+			})
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return names, nil
 }
 
 // Fset returns the loader's shared file set.
@@ -219,7 +316,8 @@ func (l *Loader) Patterns(patterns ...string) ([]*Package, error) {
 
 // Dir loads one directory of Go files as a package with a synthetic
 // import path — the entry point for analysistest fixtures, which live
-// under testdata and are invisible to go list.
+// under testdata and are invisible to go list. Later Dir loads may
+// import it by that path.
 func (l *Loader) Dir(dir, importPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -237,7 +335,12 @@ func (l *Loader) Dir(dir, importPath string) (*Package, error) {
 		return nil, fmt.Errorf("load: no Go files in %s", dir)
 	}
 	sort.Strings(files)
-	return l.check(importPath, dir, files)
+	pkg, err := l.check(importPath, dir, files)
+	if err != nil {
+		return nil, err
+	}
+	l.local[importPath] = pkg.Types
+	return pkg, nil
 }
 
 // check parses and type-checks one package from source with the

@@ -14,8 +14,8 @@
 // Two shapes are flagged outside internal/vec and internal/blas (the
 // packages that implement kernels and are allowed raw arithmetic):
 //
-//   - calls to the raw entry points vec.L2Sqr, vec.L2SqrRef, and the
-//     blas.L2SqrNT* family — use a Kernel method instead;
+//   - calls to the raw entry points vec.L2Sqr, vec.L2SqrRef, and
+//     blas.L2SqrNTRows — use a Kernel method instead;
 //   - manual subtract-square loops: (a[i]-b[i])*(a[i]-b[i]) inline, or
 //     d := a[i]-b[i] followed by d*d inside a loop body.
 //
@@ -54,7 +54,7 @@ var exemptPrefixes = []string{VecPath, BlasPath}
 var rawVecFuncs = []string{"L2Sqr", "L2SqrRef"}
 
 // rawBlasFuncs are the banned batched helpers in internal/blas.
-var rawBlasFuncs = []string{"L2SqrNT", "L2SqrNTRows", "L2SqrNTParallel"}
+var rawBlasFuncs = []string{"L2SqrNTRows"}
 
 func run(pass *analysis.Pass) error {
 	for _, p := range exemptPrefixes {
@@ -97,7 +97,7 @@ func checkRawCall(pass *analysis.Pass, call *ast.CallExpr) {
 	for _, name := range rawBlasFuncs {
 		if analysis.IsPkgFunc(pass.Info, call, BlasPath, name) && !pass.Suppressed(call.Pos(), "kernel-exempt") {
 			pass.Reportf(call.Pos(),
-				"raw blas.%s bypasses the session kernel: use Kernel.L2SqrNT/L2SqrNTRows or vec.NTParallel, or annotate //vetvec:kernel-exempt",
+				"raw blas.%s bypasses the session kernel: use Kernel.L2SqrNTRows, or annotate //vetvec:kernel-exempt",
 				name)
 		}
 	}

@@ -19,11 +19,6 @@ func rawL2Ref(q, v []float32) float32 {
 	return vec.L2SqrRef(q, v) // want "raw vec.L2SqrRef bypasses the session kernel"
 }
 
-// rawBatch uses the blas batch primitives directly.
-func rawBatch(a []float32, m, k int, b []float32, n int, c []float32) {
-	blas.L2SqrNT(a, m, k, b, n, c) // want "raw blas.L2SqrNT bypasses the session kernel"
-}
-
 // rawBatchRows likewise for the row-slice form.
 func rawBatchRows(rows [][]float32, k int, b []float32, n int, c []float32) {
 	blas.L2SqrNTRows(rows, k, b, n, c) // want "raw blas.L2SqrNTRows bypasses the session kernel"

@@ -112,6 +112,19 @@ type FuncSummary struct {
 // (*types.Func).FullName().
 type Summaries struct {
 	funcs map[string]*FuncSummary
+
+	// uses and ifaces are the reference index (refs.go).
+	uses   map[string]bool
+	ifaces map[string][]*types.Interface
+
+	// Partial marks a table built from less than the whole module (a
+	// sub-pattern such as ./internal/pg/...): an unloaded package may
+	// name what no loaded one does, so Referenced cannot prove a
+	// function dead.
+	Partial bool
+	// External holds the selector names that sibling modules (parsed,
+	// not type-checked) use; a function of such a name counts as used.
+	External map[string]bool
 }
 
 // Lookup returns the summary for fn, or nil.
@@ -191,6 +204,7 @@ type declSite struct {
 // helper chains of any depth are summarized transitively.
 func BuildSummaries(inputs []SummaryInput) *Summaries {
 	s := &Summaries{funcs: make(map[string]*FuncSummary)}
+	s.indexRefs(inputs)
 	var sites []*declSite
 	for _, in := range inputs {
 		dirs := directiveLines(in.Fset, in.Files)

@@ -16,10 +16,6 @@ func NewSession(inner *sql.Session, co *Coalescer) *Session {
 	return &Session{inner: inner, co: co}
 }
 
-// Inner exposes the wrapped SQL session (tests reach SET/SHOW state
-// through it).
-func (s *Session) Inner() *sql.Session { return s.inner }
-
 // Execute runs one statement. Non-vector statements and unbatchable or
 // window-disabled vector searches behave exactly as the bare SQL
 // session; a batchable search with SET batch_window > 0 parks in the

@@ -1,121 +1,19 @@
 package blas
 
-import (
-	"runtime"
-	"sync"
-)
-
-// L2SqrNT computes the full m×n matrix of *exact* squared Euclidean
-// distances between the rows of A (m×k, the query batch) and the rows of
-// B (n×k, e.g. the centroid cache), row-major: C[i*n+j] = ‖a_i − b_j‖².
+// L2SqrNTRows computes the full m×n matrix of *exact* squared Euclidean
+// distances between rows (m rows of k floats, e.g. tuple views that
+// alias pinned pages) and the rows of B (n×k), row-major:
+// C[i*n+j] = ‖rows_i − b_j‖². The rows are scored where they lie, never
+// copied into a contiguous scratch matrix.
 //
-// This is the batched-serving companion to GemmNT (paper RC#1 applied to
-// query execution): the traversal order is SGEMM-shaped — four A rows
-// share every B load, so a batch of queries streams the centroid matrix
-// once instead of once per query — but each (i, j) pair is still summed
-// by ONE sequential accumulator chain over the k dimensions. That makes
-// every C entry bit-for-bit equal to vec.L2SqrRef(a_i, b_j) regardless
-// of the batch size m, which is what lets the query coalescer promise
-// results byte-identical to solo execution. (GemmNT itself cannot be
-// used here: its ‖x‖²+‖c‖²−2x·c decomposition and its kernel-dependent
-// summation orders both change the rounding.)
-func L2SqrNT(a []float32, m, k int, b []float32, n int, c []float32) {
-	if m == 0 || n == 0 {
-		return
-	}
-	i := 0
-	// 8 A rows per block: eight independent accumulator chains hide the
-	// FP add latency of the one-chain-per-pair contract; every chain is
-	// still a single sequential sum, so rounding is unchanged.
-	for ; i+8 <= m; i += 8 {
-		a0 := a[i*k : i*k+k : i*k+k]
-		a1 := a[(i+1)*k : (i+1)*k+k : (i+1)*k+k]
-		a2 := a[(i+2)*k : (i+2)*k+k : (i+2)*k+k]
-		a3 := a[(i+3)*k : (i+3)*k+k : (i+3)*k+k]
-		a4 := a[(i+4)*k : (i+4)*k+k : (i+4)*k+k]
-		a5 := a[(i+5)*k : (i+5)*k+k : (i+5)*k+k]
-		a6 := a[(i+6)*k : (i+6)*k+k : (i+6)*k+k]
-		a7 := a[(i+7)*k : (i+7)*k+k : (i+7)*k+k]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : j*k+k : j*k+k]
-			var s0, s1, s2, s3, s4, s5, s6, s7 float32
-			for p := 0; p < k; p++ {
-				bv := brow[p]
-				d0 := a0[p] - bv
-				d1 := a1[p] - bv
-				d2 := a2[p] - bv
-				d3 := a3[p] - bv
-				s0 += d0 * d0
-				s1 += d1 * d1
-				s2 += d2 * d2
-				s3 += d3 * d3
-				d4 := a4[p] - bv
-				d5 := a5[p] - bv
-				d6 := a6[p] - bv
-				d7 := a7[p] - bv
-				s4 += d4 * d4
-				s5 += d5 * d5
-				s6 += d6 * d6
-				s7 += d7 * d7
-			}
-			c[i*n+j] = s0
-			c[(i+1)*n+j] = s1
-			c[(i+2)*n+j] = s2
-			c[(i+3)*n+j] = s3
-			c[(i+4)*n+j] = s4
-			c[(i+5)*n+j] = s5
-			c[(i+6)*n+j] = s6
-			c[(i+7)*n+j] = s7
-		}
-	}
-	for ; i+4 <= m; i += 4 {
-		a0 := a[i*k : i*k+k : i*k+k]
-		a1 := a[(i+1)*k : (i+1)*k+k : (i+1)*k+k]
-		a2 := a[(i+2)*k : (i+2)*k+k : (i+2)*k+k]
-		a3 := a[(i+3)*k : (i+3)*k+k : (i+3)*k+k]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : j*k+k : j*k+k]
-			var s0, s1, s2, s3 float32
-			for p := 0; p < k; p++ {
-				bv := brow[p]
-				d0 := a0[p] - bv
-				d1 := a1[p] - bv
-				d2 := a2[p] - bv
-				d3 := a3[p] - bv
-				s0 += d0 * d0
-				s1 += d1 * d1
-				s2 += d2 * d2
-				s3 += d3 * d3
-			}
-			c[i*n+j] = s0
-			c[(i+1)*n+j] = s1
-			c[(i+2)*n+j] = s2
-			c[(i+3)*n+j] = s3
-		}
-	}
-	// Remainder rows: the same per-pair sequential chain, one row at a
-	// time, so the remainder path rounds identically to the main kernel.
-	for ; i < m; i++ {
-		arow := a[i*k : i*k+k : i*k+k]
-		for j := 0; j < n; j++ {
-			brow := b[j*k : j*k+k : j*k+k]
-			var s float32
-			for p := 0; p < k; p++ {
-				d := arow[p] - brow[p]
-				s += d * d
-			}
-			c[i*n+j] = s
-		}
-	}
-}
-
-// L2SqrNTRows is L2SqrNT with the A matrix supplied as a slice of rows
-// instead of one flat buffer: C[i*n+j] = ‖rows_i − b_j‖², row-major.
-// The batched bucket scan uses it to score tuple views that alias
-// pinned pages directly — the rows never have to be copied into a
-// contiguous scratch matrix. Block structure, accumulator chains, and
-// therefore rounding are identical to L2SqrNT: every (i, j) pair is one
-// sequential sum, bit-equal to vec.L2SqrRef(rows_i, b_j).
+// The traversal order is SGEMM-shaped — eight (then four) A rows share
+// every B load — but each (i, j) pair is still summed by ONE sequential
+// accumulator chain over the k dimensions. That makes every C entry
+// bit-for-bit equal to vec.L2SqrRef(rows_i, b_j) regardless of m, which
+// is what lets a batched scan promise results byte-identical to solo
+// execution. (GemmNT itself cannot be used here: its ‖x‖²+‖c‖²−2x·c
+// decomposition and its kernel-dependent summation orders both change
+// the rounding.)
 func L2SqrNTRows(rows [][]float32, k int, b []float32, n int, c []float32) {
 	m := len(rows)
 	if m == 0 || n == 0 {
@@ -200,36 +98,4 @@ func L2SqrNTRows(rows [][]float32, k int, b []float32, n int, c []float32) {
 			c[i*n+j] = s
 		}
 	}
-}
-
-// L2SqrNTParallel is L2SqrNT with the rows of A partitioned across
-// nthreads goroutines. Row partitioning keeps every (i, j) pair on a
-// single accumulator chain, so the result is bit-identical to the serial
-// call. nthreads ≤ 0 means use all CPUs.
-func L2SqrNTParallel(a []float32, m, k int, b []float32, n int, c []float32, nthreads int) {
-	if nthreads <= 0 {
-		nthreads = runtime.GOMAXPROCS(0)
-	}
-	if nthreads == 1 || m < 8 {
-		L2SqrNT(a, m, k, b, n, c)
-		return
-	}
-	if nthreads > m/4 {
-		nthreads = m / 4
-	}
-	rowsPer := (m + nthreads - 1) / nthreads
-	var wg sync.WaitGroup
-	for t := 0; t < nthreads; t++ {
-		lo := t * rowsPer
-		if lo >= m {
-			break
-		}
-		hi := min(lo+rowsPer, m)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			L2SqrNT(a[lo*k:hi*k], hi-lo, k, b, n, c[lo*n:hi*n])
-		}(lo, hi)
-	}
-	wg.Wait()
 }

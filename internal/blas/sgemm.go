@@ -152,6 +152,8 @@ func GemmNTParallel(a []float32, m, k int, b []float32, n int, c []float32, nthr
 
 // GemmNTRef is the unblocked triple loop, used by tests as an oracle for
 // the blocked implementation.
+//
+//vetvec:test-probe oracle for the blocked GemmNT in the blas tests
 func GemmNTRef(a []float32, m, k int, b []float32, n int, c []float32) {
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {

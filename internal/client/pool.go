@@ -63,13 +63,6 @@ func (p *Pool) Addr() string { return p.addr }
 // Size reports the pool's connection bound.
 func (p *Pool) Size() int { return cap(p.tokens) }
 
-// Idle reports how many connections are currently parked in the pool.
-func (p *Pool) Idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.idle)
-}
-
 // Get checks a connection out, reusing an idle one or dialing a fresh
 // one. It blocks while the pool is exhausted until a conn is returned or
 // ctx ends. Every successful Get must be paired with exactly one Put.

@@ -68,6 +68,13 @@ func (fs *fakeServer) serve(conn net.Conn) {
 
 func (fs *fakeServer) addr() string { return fs.lis.Addr().String() }
 
+// idleCount reports how many connections are parked in the pool.
+func idleCount(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.idle)
+}
+
 func TestPoolReuse(t *testing.T) {
 	fs := startFakeServer(t)
 	p := NewPool(fs.addr(), 4, time.Second)
@@ -98,8 +105,8 @@ func TestPoolReuse(t *testing.T) {
 	if got := fs.accepted.Load(); got != 1 {
 		t.Errorf("server accepted %d conns, want 1", got)
 	}
-	if p.Idle() != 1 {
-		t.Errorf("idle = %d, want 1", p.Idle())
+	if idleCount(p) != 1 {
+		t.Errorf("idle = %d, want 1", idleCount(p))
 	}
 }
 
@@ -160,8 +167,8 @@ func TestPoolClosesBrokenConns(t *testing.T) {
 		t.Fatalf("Execute(boom) err = %v, want wire.Error", execErr)
 	}
 	p.Put(pc, execErr)
-	if p.Idle() != 1 {
-		t.Fatalf("idle after statement error = %d, want 1", p.Idle())
+	if idleCount(p) != 1 {
+		t.Fatalf("idle after statement error = %d, want 1", idleCount(p))
 	}
 
 	// A transport error (server dropped the conn) closes it: the next
@@ -179,8 +186,8 @@ func TestPoolClosesBrokenConns(t *testing.T) {
 		t.Fatalf("Execute(die) err = %v, want transport error", execErr)
 	}
 	p.Put(pc2, execErr)
-	if p.Idle() != 0 {
-		t.Fatalf("idle after transport error = %d, want 0 (conn closed)", p.Idle())
+	if idleCount(p) != 0 {
+		t.Fatalf("idle after transport error = %d, want 0 (conn closed)", idleCount(p))
 	}
 	pc3, err := p.Get(ctx)
 	if err != nil {
@@ -215,7 +222,7 @@ func TestPoolClose(t *testing.T) {
 	}
 	// A conn checked out across Close is closed at Put, not pooled.
 	p.Put(pc, nil)
-	if p.Idle() != 0 {
-		t.Errorf("idle after close = %d, want 0", p.Idle())
+	if idleCount(p) != 0 {
+		t.Errorf("idle after close = %d, want 0", idleCount(p))
 	}
 }

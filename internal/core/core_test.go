@@ -61,10 +61,15 @@ func TestCompareBothIVFFlat(t *testing.T) {
 		t.Errorf("recalls too low: spec %.3f gen %.3f", cmp.SpecSearch.Recall, cmp.GenSearch.Recall)
 	}
 	// Fig 11: IVF_FLAT sizes comparable (within 2.5× either way).
-	ratio := cmp.SizeGapX()
+	ratio := sizeGap(cmp)
 	if ratio < 0.4 || ratio > 2.5 {
 		t.Errorf("IVF_FLAT size ratio %.2f, want near 1 (Fig 11)", ratio)
 	}
+}
+
+// sizeGap returns how many times larger the generalized index was.
+func sizeGap(c Comparison) float64 {
+	return Gap(time.Duration(c.Specialized.SizeBytes), time.Duration(c.Generalized.SizeBytes))
 }
 
 func TestCompareBothHNSWSizeBlowup(t *testing.T) {
@@ -75,8 +80,8 @@ func TestCompareBothHNSWSizeBlowup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmp.SizeGapX() < 2 {
-		t.Errorf("HNSW size gap %.2fx, paper reports 2.9–13.3× (Fig 13)", cmp.SizeGapX())
+	if sizeGap(cmp) < 2 {
+		t.Errorf("HNSW size gap %.2fx, paper reports 2.9–13.3× (Fig 13)", sizeGap(cmp))
 	}
 	if cmp.SpecSearch.Recall < 0.8 || cmp.GenSearch.Recall < 0.8 {
 		t.Errorf("HNSW recalls too low: spec %.3f gen %.3f", cmp.SpecSearch.Recall, cmp.GenSearch.Recall)
@@ -147,7 +152,7 @@ func TestIVFPQBothEngines(t *testing.T) {
 		t.Errorf("generalized IVF_PQ search should be slower (gap %.2fx)", cmp.SearchGapX())
 	}
 	// PQ sizes comparable between engines (Fig 12) — and both lossy.
-	if r := cmp.SizeGapX(); r < 0.3 || r > 3.5 {
+	if r := sizeGap(cmp); r < 0.3 || r > 3.5 {
 		t.Errorf("IVF_PQ size ratio %.2f, want near 1 (Fig 12)", r)
 	}
 }

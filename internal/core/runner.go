@@ -138,14 +138,6 @@ func (c Comparison) BuildGapX() float64 { return Gap(c.Specialized.Total, c.Gene
 // SearchGapX returns how many times slower the generalized search was.
 func (c Comparison) SearchGapX() float64 { return Gap(c.SpecSearch.Total, c.GenSearch.Total) }
 
-// SizeGapX returns how many times larger the generalized index was.
-func (c Comparison) SizeGapX() float64 {
-	if c.Specialized.SizeBytes <= 0 {
-		return 0
-	}
-	return float64(c.Generalized.SizeBytes) / float64(c.Specialized.SizeBytes)
-}
-
 // CompareBoth builds the same index kind in both engines, runs the same
 // search workload, and returns the paired results. This one call is the
 // spine of Figs 3, 5, 7, 11–14, 16, 17.

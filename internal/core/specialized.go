@@ -124,10 +124,6 @@ func (si *SpecializedIndex) SizeBytes() int64 {
 // Close implements Index (no external resources on this side).
 func (si *SpecializedIndex) Close() error { return nil }
 
-// IVF exposes the underlying IVF_FLAT index for centroid-transplant
-// experiments (Fig 15).
-func (si *SpecializedIndex) IVF() *ivfflat.Index { return si.ivf }
-
 // SetSearchParams adjusts scan-time knobs between workloads without
 // rebuilding.
 func (si *SpecializedIndex) SetSearchParams(nprobe, efs, threads int) {

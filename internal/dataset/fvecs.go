@@ -98,6 +98,8 @@ func WriteFvecs(path string, m *vec.Flat) error {
 
 // ReadIvecs loads an .ivecs file (e.g., TEXMEX ground-truth files) as a
 // slice of int32 rows.
+//
+//vetvec:test-probe no experiment reads TEXMEX ground truth yet; the format tests pin the reader
 func ReadIvecs(path string, maxRows int) ([][]int32, error) {
 	f, err := os.Open(path)
 	if err != nil {

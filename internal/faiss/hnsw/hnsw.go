@@ -97,9 +97,6 @@ func New(opts Options) (*Index, error) {
 	}, nil
 }
 
-// Opts returns the construction options.
-func (ix *Index) Opts() Options { return ix.opts }
-
 // Stats returns accumulated build statistics.
 func (ix *Index) Stats() Stats { return ix.stats }
 
@@ -252,26 +249,4 @@ func (ix *Index) SizeBytes() int64 {
 		}
 	}
 	return size
-}
-
-// GraphStats summarizes the level structure for tests and reports.
-type GraphStats struct {
-	MaxLevel  int32
-	PerLevel  []int // vertices whose top level is l
-	AvgDegree float64
-}
-
-// Graph returns structural statistics.
-func (ix *Index) Graph() GraphStats {
-	gs := GraphStats{MaxLevel: ix.maxLevel, PerLevel: make([]int, ix.maxLevel+1)}
-	var degSum, degCnt int
-	for i, l := range ix.levels {
-		gs.PerLevel[l]++
-		degSum += len(ix.links[i][0])
-		degCnt++
-	}
-	if degCnt > 0 {
-		gs.AvgDegree = float64(degSum) / float64(degCnt)
-	}
-	return gs
 }

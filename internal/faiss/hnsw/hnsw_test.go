@@ -35,8 +35,8 @@ func TestNewValidationAndDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Opts().BNN != 16 || ix.Opts().EFB != 40 {
-		t.Errorf("paper defaults not applied: %+v", ix.Opts())
+	if ix.opts.BNN != 16 || ix.opts.EFB != 40 {
+		t.Errorf("paper defaults not applied: %+v", ix.opts)
 	}
 }
 
@@ -138,17 +138,22 @@ func TestDegreeBounds(t *testing.T) {
 
 func TestLevelDistribution(t *testing.T) {
 	ix := buildSmall(t, Options{Seed: 6})
-	gs := ix.Graph()
-	if gs.PerLevel[0] == 0 {
+	perLevel := make([]int, ix.maxLevel+1) // vertices whose top level is l
+	degSum := 0
+	for i, l := range ix.levels {
+		perLevel[l]++
+		degSum += len(ix.links[i][0])
+	}
+	if perLevel[0] == 0 {
 		t.Fatal("no vertices at level 0")
 	}
 	// Levels must decay roughly geometrically: level l+1 strictly smaller
 	// populations than level l (allowing noise at the sparse top).
-	if len(gs.PerLevel) > 1 && gs.PerLevel[1] >= gs.PerLevel[0] {
-		t.Errorf("level populations not decaying: %v", gs.PerLevel)
+	if len(perLevel) > 1 && perLevel[1] >= perLevel[0] {
+		t.Errorf("level populations not decaying: %v", perLevel)
 	}
-	if gs.AvgDegree <= 1 {
-		t.Errorf("average degree %v too low", gs.AvgDegree)
+	if avg := float64(degSum) / float64(len(ix.levels)); avg <= 1 {
+		t.Errorf("average degree %v too low", avg)
 	}
 }
 

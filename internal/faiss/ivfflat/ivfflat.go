@@ -72,19 +72,8 @@ func New(opts Options) (*Index, error) {
 	return &Index{opts: opts}, nil
 }
 
-// Opts returns the construction options.
-func (ix *Index) Opts() Options { return ix.opts }
-
 // Stats returns build timing collected so far.
 func (ix *Index) Stats() Stats { return ix.stats }
-
-// NList returns the number of coarse clusters.
-func (ix *Index) NList() int { return ix.opts.NList }
-
-// Centroids exposes the trained codebook (row-major NList×Dim). It is the
-// hook used by the Fig 15 experiment to copy PASE's centroids into a
-// Faiss-side index ("Faiss*").
-func (ix *Index) Centroids() []float32 { return ix.centroids }
 
 // SetCentroids installs externally trained centroids, marking the index
 // trained. The slice is copied.
@@ -254,28 +243,6 @@ func (ix *Index) SizeBytes() int64 {
 		size += int64(len(ix.listVecs[i]))*4 + int64(len(ix.listIDs[i]))*8
 	}
 	return size
-}
-
-// ListSizes returns the population of every bucket; benchmarks use it to
-// report cluster skew between K-means flavours (RC#5).
-func (ix *Index) ListSizes() []int {
-	out := make([]int, ix.opts.NList)
-	for i := range ix.listIDs {
-		out[i] = len(ix.listIDs[i])
-	}
-	return out
-}
-
-// Assignments returns, for each stored vector ID, its bucket. The Fig 15
-// experiment uses it to clone PASE's exact clustering into Faiss*.
-func (ix *Index) Assignments() map[int64]int32 {
-	out := make(map[int64]int32, ix.stats.NAdded)
-	for list, ids := range ix.listIDs {
-		for _, id := range ids {
-			out[id] = int32(list)
-		}
-	}
-	return out
 }
 
 // AddPreassigned appends vectors with externally determined bucket

@@ -68,7 +68,7 @@ func TestSearchExhaustiveProbesIsExact(t *testing.T) {
 	ds := testutil.SmallDataset(t)
 	ix := buildSmall(t, Options{UseGemm: true, Seed: 2})
 	recall := testutil.Recall(t, ds, 10, func(q []float32) []minheap.Item {
-		items, err := ix.Search(q, 10, SearchParams{NProbe: ix.NList()})
+		items, err := ix.Search(q, 10, SearchParams{NProbe: ix.opts.NList})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,8 +119,8 @@ func TestGemmToggleSameResults(t *testing.T) {
 	a := buildSmall(t, Options{UseGemm: true, Seed: 5})
 	b := buildSmall(t, Options{UseGemm: false, Seed: 5})
 	for q := 0; q < 5; q++ {
-		ra, _ := a.Search(ds.Queries.Row(q), 10, SearchParams{NProbe: a.NList()})
-		rb, _ := b.Search(ds.Queries.Row(q), 10, SearchParams{NProbe: b.NList()})
+		ra, _ := a.Search(ds.Queries.Row(q), 10, SearchParams{NProbe: a.opts.NList})
+		rb, _ := b.Search(ds.Queries.Row(q), 10, SearchParams{NProbe: b.opts.NList})
 		if !testutil.SameResults(ra, rb, 1e-3) {
 			t.Fatalf("query %d: RC#1 toggle changed exhaustive results", q)
 		}
@@ -142,7 +142,7 @@ func TestSizeBytes(t *testing.T) {
 	ds := testutil.SmallDataset(t)
 	ix := buildSmall(t, Options{Seed: 7})
 	// vectors (n·d·4) + ids (n·8) + centroids (c·d·4)
-	want := int64(ds.N())*int64(ds.Dim)*4 + int64(ds.N())*8 + int64(ix.NList())*int64(ds.Dim)*4
+	want := int64(ds.N())*int64(ds.Dim)*4 + int64(ds.N())*8 + int64(ix.opts.NList)*int64(ds.Dim)*4
 	if got := ix.SizeBytes(); got != want {
 		t.Errorf("SizeBytes = %d, want %d", got, want)
 	}
@@ -152,8 +152,8 @@ func TestListSizesSumToN(t *testing.T) {
 	ds := testutil.SmallDataset(t)
 	ix := buildSmall(t, Options{Seed: 8})
 	total := 0
-	for _, s := range ix.ListSizes() {
-		total += s
+	for _, ids := range ix.listIDs {
+		total += len(ids)
 	}
 	if total != ds.N() {
 		t.Errorf("list sizes sum to %d, want %d", total, ds.N())
@@ -166,18 +166,21 @@ func TestFaissStarInjection(t *testing.T) {
 	ds := testutil.SmallDataset(t)
 	src := buildSmall(t, Options{KMeansFlavor: kmeans.FlavorPASE, Seed: 9})
 
-	star, err := New(Options{Dim: ds.Dim, NList: src.NList(), UseGemm: true})
+	star, err := New(Options{Dim: ds.Dim, NList: src.opts.NList, UseGemm: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := star.SetCentroids(src.Centroids()); err != nil {
+	if err := star.SetCentroids(src.centroids); err != nil {
 		t.Fatal(err)
 	}
-	assignMap := src.Assignments()
 	assign := make([]int32, ds.N())
 	ids := make([]int64, ds.N())
-	for i := range assign {
-		assign[i] = assignMap[int64(i)]
+	for list, members := range src.listIDs {
+		for _, id := range members {
+			assign[id] = int32(list)
+		}
+	}
+	for i := range ids {
 		ids[i] = int64(i)
 	}
 	if err := star.AddPreassigned(ds.Base.Data, ds.N(), ids, assign); err != nil {

@@ -77,14 +77,8 @@ func New(opts Options) (*Index, error) {
 	return &Index{opts: opts}, nil
 }
 
-// Opts returns the construction options.
-func (ix *Index) Opts() Options { return ix.opts }
-
 // Stats returns build timing.
 func (ix *Index) Stats() Stats { return ix.stats }
-
-// Quantizer exposes the trained product quantizer.
-func (ix *Index) Quantizer() *pq.Quantizer { return ix.quant }
 
 // Train builds the coarse codebook and the product quantizer (over
 // residuals), then — when PrecomputeTable is on — the per-list term

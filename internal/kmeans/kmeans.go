@@ -64,9 +64,6 @@ type Result struct {
 	Inertia   float32 // sum of squared distances at the last assignment
 }
 
-// Centroid returns the i-th centroid (aliasing Result storage).
-func (r *Result) Centroid(i int) []float32 { return r.Centroids[i*r.D : (i+1)*r.D] }
-
 // Train runs Lloyd's algorithm over the n×d row-major matrix data.
 func Train(data []float32, n, d int, cfg Config) (*Result, error) {
 	if cfg.K <= 0 {
@@ -261,13 +258,4 @@ func splitEmptyClusters(centroids []float32, counts []int, k, d int, rng *rand.R
 		counts[c] = counts[biggest] / 2
 		counts[biggest] -= counts[c]
 	}
-}
-
-// Assign maps each of the n rows of data to its nearest centroid in r,
-// returning the assignment vector. It uses the same UseGemm/Threads
-// configuration semantics as training.
-func (r *Result) Assign(data []float32, n int, useGemm bool, threads int) []int32 {
-	assign := make([]int32, n)
-	vec.AssignBatch(data, n, r.Centroids, r.K, r.D, assign, nil, useGemm, threads)
-	return assign
 }

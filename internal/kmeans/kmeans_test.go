@@ -25,6 +25,17 @@ func blobs(rng *rand.Rand, k, perCluster, d int, sep float64) ([]float32, int) {
 	return data, n
 }
 
+// centroid returns the i-th centroid of r.
+func centroid(r *Result, i int) []float32 { return r.Centroids[i*r.D : (i+1)*r.D] }
+
+// assignRows maps each of the n rows of data to its nearest centroid in
+// r through the assignment step training runs.
+func assignRows(r *Result, data []float32, n int, useGemm bool) []int32 {
+	assign := make([]int32, n)
+	vec.AssignBatch(data, n, r.Centroids, r.K, r.D, assign, nil, useGemm, 1)
+	return assign
+}
+
 func TestTrainRecoversBlobStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data, n := blobs(rng, 8, 100, 16, 20)
@@ -35,10 +46,10 @@ func TestTrainRecoversBlobStructure(t *testing.T) {
 		}
 		// With well separated blobs the mean within-cluster distance must
 		// be far below the blob separation scale.
-		assign := res.Assign(data, n, true, 1)
+		assign := assignRows(res, data, n, true)
 		var inertia float64
 		for i := 0; i < n; i++ {
-			inertia += float64(vec.L2Sqr(data[i*16:(i+1)*16], res.Centroid(int(assign[i]))))
+			inertia += float64(vec.L2Sqr(data[i*16:(i+1)*16], centroid(res, int(assign[i]))))
 		}
 		perPoint := inertia / float64(n)
 		// Each point is its blob center + unit Gaussian noise in 16 dims,
@@ -170,12 +181,12 @@ func TestAssignMatchesNearestCentroid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assign := res.Assign(data, n, false, 1)
+	assign := assignRows(res, data, n, false)
 	for i := 0; i < n; i++ {
 		x := data[i*6 : (i+1)*6]
-		best, bestD := 0, vec.L2SqrRef(x, res.Centroid(0))
+		best, bestD := 0, vec.L2SqrRef(x, centroid(res, 0))
 		for c := 1; c < 3; c++ {
-			if dd := vec.L2SqrRef(x, res.Centroid(c)); dd < bestD {
+			if dd := vec.L2SqrRef(x, centroid(res, c)); dd < bestD {
 				best, bestD = c, dd
 			}
 		}

@@ -53,20 +53,6 @@ func NewTopK(k int) *TopK {
 // K returns the configured capacity.
 func (h *TopK) K() int { return h.k }
 
-// Len returns the number of items currently held (≤ k).
-func (h *TopK) Len() int { return len(h.items) }
-
-// Worst returns the largest distance currently in the heap, or +Inf-like
-// behaviour via ok=false when the heap is not yet full. Candidates with
-// Dist > Worst cannot improve the result once ok is true (a candidate at
-// exactly Worst may still displace the root on the ID tie-break).
-func (h *TopK) Worst() (float32, bool) {
-	if len(h.items) < h.k {
-		return 0, false
-	}
-	return h.items[0].Dist, true
-}
-
 // Push offers a candidate. It returns true if the candidate was kept.
 func (h *TopK) Push(id int64, dist float32) bool {
 	it := Item{ID: id, Dist: dist}
@@ -159,9 +145,6 @@ func (c *Collector) Push(id int64, dist float32) {
 func (c *Collector) Append(items []Item) {
 	c.items = append(c.items, items...)
 }
-
-// Len returns the number of collected candidates.
-func (c *Collector) Len() int { return len(c.items) }
 
 // PopK heapifies all collected items and pops the k smallest, mirroring
 // PASE's n-sized heap. The collector is drained.

@@ -76,17 +76,26 @@ func TestTopKResultsSorted(t *testing.T) {
 	}
 }
 
+// worst returns the heap root — the largest kept distance, which a
+// candidate must beat — and whether the heap is full.
+func worst(h *TopK) (float32, bool) {
+	if len(h.items) < h.k {
+		return 0, false
+	}
+	return h.items[0].Dist, true
+}
+
 func TestTopKWorst(t *testing.T) {
 	h := NewTopK(2)
-	if _, full := h.Worst(); full {
+	if _, full := worst(h); full {
 		t.Error("empty heap reported full")
 	}
 	h.Push(1, 5)
-	if _, full := h.Worst(); full {
+	if _, full := worst(h); full {
 		t.Error("partially filled heap reported full")
 	}
 	h.Push(2, 3)
-	w, full := h.Worst()
+	w, full := worst(h)
 	if !full || w != 5 {
 		t.Errorf("Worst = %v, %v; want 5, true", w, full)
 	}
@@ -96,7 +105,7 @@ func TestTopKWorst(t *testing.T) {
 	if !h.Push(4, 1) {
 		t.Error("rejected improving candidate")
 	}
-	w, _ = h.Worst()
+	w, _ = worst(h)
 	if w != 3 {
 		t.Errorf("Worst after eviction = %v, want 3", w)
 	}
@@ -115,8 +124,8 @@ func TestTopKReset(t *testing.T) {
 	h := NewTopK(3)
 	h.Push(1, 1)
 	h.Reset()
-	if h.Len() != 0 {
-		t.Errorf("Len after Reset = %d", h.Len())
+	if len(h.items) != 0 {
+		t.Errorf("Len after Reset = %d", len(h.items))
 	}
 	h.Push(2, 2)
 	if res := h.Results(); len(res) != 1 || res[0].ID != 2 {
@@ -151,8 +160,8 @@ func TestCollectorDrainsAfterPopK(t *testing.T) {
 	if got := c.PopK(1); len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("PopK = %v", got)
 	}
-	if c.Len() != 0 {
-		t.Errorf("collector not drained: len %d", c.Len())
+	if len(c.items) != 0 {
+		t.Errorf("collector not drained: len %d", len(c.items))
 	}
 	c.Push(3, 3)
 	if got := c.PopK(5); len(got) != 1 || got[0].ID != 3 {

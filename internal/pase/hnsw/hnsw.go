@@ -159,9 +159,6 @@ func (ix *Index) SizeBytes() (int64, error) {
 	return int64(nblocks) * int64(ix.ctx.Pool.PageSize()), nil
 }
 
-// NVertices returns the number of inserted vertices.
-func (ix *Index) NVertices() int { return int(ix.meta.NVertices) }
-
 // insertLocked adds one vertex. Callers hold ix.mu (Build runs without
 // contention).
 func (ix *Index) insertLocked(v []float32, tid heap.TID) error {

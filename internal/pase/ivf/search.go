@@ -357,23 +357,13 @@ func (ix *Index) rerank(o scanOpts, query []float32, k int, cands []minheap.Item
 }
 
 // selectProbes ranks all centroids by distance (kernel calls over the
-// centroid cache) and returns the nprobe nearest bucket IDs.
+// centroid cache) and returns the nprobe nearest bucket IDs, ascending.
+// A batched scan calls it once per query, so solo and batched probe
+// lists agree exactly.
 func (ix *Index) selectProbes(kern vec.Kernel, query []float32, nprobe int) []int32 {
-	nlist := int(ix.meta.NList)
-	dists := make([]float32, nlist)
-	for c := range dists {
-		dists[c] = kern.L2Sqr(query, ix.centroid(c))
-	}
-	return nearestProbes(dists, nprobe)
-}
-
-// nearestProbes returns the indexes of the nprobe smallest distances,
-// ascending; pushes run in ascending bucket order on every path, so solo
-// and batched probe lists agree exactly.
-func nearestProbes(dists []float32, nprobe int) []int32 {
 	h := minheap.NewTopK(nprobe)
-	for c, dist := range dists {
-		h.Push(int64(c), dist)
+	for c := 0; c < int(ix.meta.NList); c++ {
+		h.Push(int64(c), kern.L2Sqr(query, ix.centroid(c)))
 	}
 	items := h.Results()
 	out := make([]int32, len(items))

@@ -93,7 +93,8 @@ type Index interface {
 	// Search is the pre-Scan solo entry point, kept only because the
 	// benchmark/ module (which a code PR may not edit) calls it; every
 	// implementation is SearchCompat. Delete it with the benchmark-only
-	// follow-up of ROADMAP item 1.
+	// follow-up of ROADMAP item 3 ("A2, stop replaying a stack the server
+	// no longer runs").
 	Search(query []float32, k int, params map[string]string) ([]Result, error)
 }
 
@@ -128,6 +129,8 @@ func Lookup(name string) (BuildFunc, error) {
 }
 
 // Names returns the registered access-method names, sorted.
+//
+//vetvec:test-probe the scan-contract test covers every registered access method through it
 func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()

@@ -270,59 +270,6 @@ func (p *Pool) storeAndExtendLock(rel RelID) (storage.PageStore, *sync.Mutex, er
 	return store, ext, nil
 }
 
-// Deregister flushes and detaches a relation (e.g., on DROP). It fails
-// without mutating anything when the relation still has pinned buffers:
-// the pinned-frame scan runs to completion before any frame is flushed
-// or invalidated, so a failed Deregister never leaves the pool
-// half-deregistered.
-func (p *Pool) Deregister(rel RelID) error {
-	p.repartMu.Lock() // the partition set must not be swapped mid-scan
-	defer p.repartMu.Unlock()
-	parts := p.partitions()
-	for _, pt := range parts {
-		pt.mu.Lock()
-	}
-	unlock := func() {
-		for _, pt := range parts {
-			pt.mu.Unlock()
-		}
-	}
-	// Pass 1: refuse before touching any frame.
-	for _, pt := range parts {
-		for i := range pt.frames {
-			f := &pt.frames[i]
-			if f.valid && f.tag.Rel == rel && f.pin.Load() > 0 {
-				unlock()
-				return fmt.Errorf("buffer: deregistering %d with pinned buffers: %w", rel, ErrPoolPinned)
-			}
-		}
-	}
-	// Pass 2: flush and invalidate.
-	for _, pt := range parts {
-		for i := range pt.frames {
-			f := &pt.frames[i]
-			if f.valid && f.tag.Rel == rel {
-				if f.dirty.Load() {
-					if err := p.writeBack(f); err != nil {
-						unlock()
-						return err
-					}
-				}
-				delete(pt.table, f.tag)
-				f.tag = Tag{}
-				f.valid = false
-				pt.free = append(pt.free, i)
-			}
-		}
-	}
-	unlock()
-	p.regMu.Lock()
-	delete(p.stores, rel)
-	delete(p.extend, rel)
-	p.regMu.Unlock()
-	return nil
-}
-
 // SetWAL installs the WAL-before-data hook.
 func (p *Pool) SetWAL(w WALFlusher) {
 	p.regMu.Lock()
@@ -425,6 +372,8 @@ func (b *Buf) Page() page.Page {
 }
 
 // Block returns the block number this buffer holds.
+//
+//vetvec:test-probe the pinrelease fixtures call it as a pin-borrowing use
 func (b *Buf) Block() uint32 { return b.tag.Blk }
 
 // MarkDirty flags the page as modified so eviction writes it back. It is

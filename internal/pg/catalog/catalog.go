@@ -144,17 +144,6 @@ func (c *Catalog) IndexesOn(table string) []*IndexMeta {
 	return out
 }
 
-// DropIndex removes an index entry.
-func (c *Catalog) DropIndex(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.indexes[name]; !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchIndex, name)
-	}
-	delete(c.indexes, name)
-	return nil
-}
-
 // snapshot is the gob wire form.
 type snapshot struct {
 	Tables  map[string]*TableMeta

@@ -65,12 +65,6 @@ func TestIndexLifecycle(t *testing.T) {
 	if got := c.IndexesOn("t"); len(got) != 1 {
 		t.Errorf("IndexesOn = %d", len(got))
 	}
-	if err := c.DropIndex("i"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DropIndex("i"); !errors.Is(err, ErrNoSuchIndex) {
-		t.Errorf("double drop: %v", err)
-	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {

@@ -528,6 +528,8 @@ func (t *Table) Get(tid TID, fn func(tup []byte) error) error {
 }
 
 // GetVector resolves the Float4Array column col of the tuple at tid.
+//
+//vetvec:test-probe the deadvisibility fixtures call it as the unchecked read
 func (t *Table) GetVector(tid TID, col int) ([]float32, error) {
 	var v []float32
 	err := t.Get(tid, func(tup []byte) error {
@@ -565,22 +567,6 @@ func (t *Table) GetVectorVisible(tid TID, col int) ([]float32, bool, error) {
 		return nil, false, err
 	}
 	return v, true, nil
-}
-
-// Visible reports whether the tuple at tid is live. Unlike GetVisible it
-// does not decode anything — predicate paths use it to drop dead TIDs
-// cheaply.
-func (t *Table) Visible(tid TID) (bool, error) {
-	buf, err := t.pool.Pin(t.rel, tid.Blk)
-	if err != nil {
-		return false, err
-	}
-	defer buf.Release()
-	pg := buf.Page()
-	if tid.Off == 0 || tid.Off > pg.NumItems() {
-		return false, fmt.Errorf("heap: %v: offset out of range", tid)
-	}
-	return !pg.ItemIsDead(tid.Off), nil
 }
 
 // Scan iterates all live tuples in TID order. fn returns false to stop.

@@ -269,7 +269,7 @@ func TestVacuumReclaimsDeadTuples(t *testing.T) {
 	}
 	// Survivors stay readable at their original TIDs, victims stay gone.
 	for i, tid := range tids {
-		ok, err := tbl.Visible(tid)
+		ok, err := visible(tbl, tid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,6 +285,12 @@ func TestVacuumReclaimsDeadTuples(t *testing.T) {
 	if stats.DeadReclaimed != 0 {
 		t.Errorf("second vacuum reclaimed %d", stats.DeadReclaimed)
 	}
+}
+
+// visible reports whether the tuple at tid is live, through the
+// visibility-checked read.
+func visible(tbl *Table, tid TID) (bool, error) {
+	return tbl.GetVisible(tid, func([]byte) error { return nil })
 }
 
 func TestVacuumThenInsertReusesTable(t *testing.T) {
@@ -307,7 +313,7 @@ func TestVacuumThenInsertReusesTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := tbl.Visible(tid); err != nil || !ok {
+	if ok, err := visible(tbl, tid); err != nil || !ok {
 		t.Fatalf("fresh insert not visible: (%v, %v)", ok, err)
 	}
 }

@@ -32,7 +32,7 @@ const (
 // Header field offsets.
 const (
 	offLSN      = 0  // 8 bytes
-	offFlags    = 8  // 2 bytes (checksum slot reused as flags padding)
+	offFlags    = 8  // 2 bytes: checksum slot, not yet written
 	offLower    = 12 // 2 bytes: end of line-pointer array
 	offUpper    = 14 // 2 bytes: start of tuple space
 	offSpecial  = 16 // 2 bytes: start of special space
@@ -82,20 +82,9 @@ func (p Page) LSN() uint64 { return binary.LittleEndian.Uint64(p[offLSN:]) }
 
 // SetLSN stamps the page with an LSN; the buffer manager enforces
 // WAL-before-data using it.
+//
+//vetvec:test-probe only TestWALBeforeData stamps a page until heap writes carry their WAL LSN
 func (p Page) SetLSN(lsn uint64) { binary.LittleEndian.PutUint64(p[offLSN:], lsn) }
-
-// Flags returns the 16-bit page flags word.
-func (p Page) Flags() uint16 { return binary.LittleEndian.Uint16(p[offFlags:]) }
-
-// SetFlags stores the page flags word.
-func (p Page) SetFlags(f uint16) { binary.LittleEndian.PutUint16(p[offFlags:], f) }
-
-// Opaque returns the 4-byte access-method scratch word in the header
-// (PostgreSQL reuses pd_prune_xid similarly).
-func (p Page) Opaque() uint32 { return binary.LittleEndian.Uint32(p[offNextFree:]) }
-
-// SetOpaque stores the header scratch word.
-func (p Page) SetOpaque(v uint32) { binary.LittleEndian.PutUint32(p[offNextFree:], v) }
 
 // NumItems returns the number of line pointers (live or dead).
 func (p Page) NumItems() uint16 {

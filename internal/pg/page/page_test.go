@@ -168,19 +168,11 @@ func TestOverwriteItem(t *testing.T) {
 	}
 }
 
-func TestLSNAndFlagsAndOpaque(t *testing.T) {
+func TestLSNRoundTrip(t *testing.T) {
 	p := newPage(t, 4096, 0)
 	p.SetLSN(0xDEADBEEF01)
 	if p.LSN() != 0xDEADBEEF01 {
 		t.Errorf("LSN = %x", p.LSN())
-	}
-	p.SetFlags(0x1234)
-	if p.Flags() != 0x1234 {
-		t.Errorf("Flags = %x", p.Flags())
-	}
-	p.SetOpaque(0xCAFE)
-	if p.Opaque() != 0xCAFE {
-		t.Errorf("Opaque = %x", p.Opaque())
 	}
 }
 

@@ -159,7 +159,8 @@ func (q *VectorQuery) GroupKey() GroupKey {
 // Params renders every known setting at its effective value — the
 // pre-ScanOpts knob map. It is kept only because the benchmark/ module
 // (which a code PR may not edit) reads it to replay a statement's index
-// search; delete it with the benchmark-only follow-up of ROADMAP item 1.
+// search; delete it with the benchmark-only follow-up of ROADMAP item 3
+// ("A2, stop replaying a stack the server no longer runs").
 func (q *VectorQuery) Params() map[string]string {
 	out := make(map[string]string, len(knownSettings))
 	for _, st := range knownSettings {

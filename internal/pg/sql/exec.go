@@ -30,8 +30,10 @@ const VacuumThresholdSetting = "vacuum_threshold"
 // (cache-blocked generic Go), or avx2 (assembly, amd64 hosts with the
 // ISA; silently falls back to the default elsewhere). The default is the
 // fastest of them the host registered.
-// Build, insert, and delete arithmetic is pinned to ref regardless —
-// bucket assignment and graph wiring must not depend on a session knob.
+// Build, insert, and delete arithmetic ignores the knob — bucket
+// assignment and k-means/PQ training are pinned to ref (vec.Ref), HNSW
+// build and repair to vec.GraphKernel (unrolled) — so on-page layout
+// never depends on a session.
 const DistanceKernelSetting = "distance_kernel"
 
 // SQ8RerankSetting is the ivfsq8 re-rank multiplier β: the quantized

@@ -130,6 +130,8 @@ func (l *Log) Close() error {
 // Replay streams every valid record to fn in log order. It stops cleanly
 // at a truncated tail (torn final record) and returns ErrCorrupt for a
 // mid-log CRC failure.
+//
+//vetvec:test-probe crash recovery is not built yet; the WAL tests read the log back through it
 func Replay(path string, fn func(Record) error) error {
 	f, err := os.Open(path)
 	if err != nil {

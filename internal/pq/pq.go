@@ -157,6 +157,3 @@ func (q *Quantizer) InnerProductTable(x []float32, tab []float32) {
 
 // SizeBytes returns the codebook footprint.
 func (q *Quantizer) SizeBytes() int64 { return int64(len(q.Codebooks)) * 4 }
-
-// CodeSize returns the bytes per encoded vector.
-func (q *Quantizer) CodeSize() int { return q.M }

@@ -147,7 +147,4 @@ func TestSizeAccounting(t *testing.T) {
 	if q.SizeBytes() != int64(4*16*8)*4 {
 		t.Errorf("SizeBytes = %d", q.SizeBytes())
 	}
-	if q.CodeSize() != 4 {
-		t.Errorf("CodeSize = %d", q.CodeSize())
-	}
 }

@@ -6,9 +6,8 @@
 // Three implementations register here:
 //
 //   - "ref": the PASE-style scalar baseline (fvec_L2sqr_ref). Its solo
-//     form is one sequential accumulator chain, and its batched forms
-//     (blas.L2SqrNT/L2SqrNTRows) are proven bit-equal to that chain per
-//     pair. It is the parity oracle for tests and the fixed kernel for
+//     form is one sequential accumulator chain, and its batched form
+//     (blas.L2SqrNTRows) is proven bit-equal to that chain per pair. It is the parity oracle for tests and the fixed kernel for
 //     paths that must be session-independent (bucket assignment).
 //   - "unrolled": cache-blocked 8-way unrolled generic Go. Eight
 //     independent accumulator chains hide FP add latency.
@@ -21,7 +20,7 @@
 // unrolled elsewhere (kernelPreference).
 //
 // The parity contract is per kernel, not across kernels: for any
-// kernel K, K's batched forms (L2SqrBatch, L2SqrNT, L2SqrNTRows) are
+// kernel K, K's batched forms (L2SqrBatch, L2SqrNTRows) are
 // bit-for-bit equal, pair by pair, to K.L2Sqr — and K.L2Sqr(x, y) ==
 // K.L2Sqr(y, x) bitwise (IEEE subtraction is sign-symmetric and
 // x·x == (−x)·(−x)), which the multi-query probe path relies on when it
@@ -34,7 +33,6 @@ package vec
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -52,11 +50,9 @@ type Kernel interface {
 	// L2SqrBatch writes ‖q−rows[i]‖² into out[i] for every row. rows may
 	// alias pinned page memory; no row is retained or copied.
 	L2SqrBatch(q []float32, rows [][]float32, out []float32)
-	// L2SqrNT writes the full m×n matrix C[i*n+j] = ‖a_i − b_j‖² for
-	// row-major A (m×k) and B (n×k).
-	L2SqrNT(a []float32, m, k int, b []float32, n int, c []float32)
-	// L2SqrNTRows is L2SqrNT with A supplied as a slice of row views
-	// (zero-copy scoring of tuples that alias pinned pages).
+	// L2SqrNTRows writes the full m×n matrix C[i*n+j] = ‖rows_i − b_j‖²
+	// for m row views of k floats (zero-copy scoring of tuples that
+	// alias pinned pages) and row-major B (n×k).
 	L2SqrNTRows(rows [][]float32, k int, b []float32, n int, c []float32)
 	// L2SqrSQ8 returns the asymmetric ‖q − decode(code)‖² distance
 	// between a full-precision query and an SQ8 byte-coded vector,
@@ -159,7 +155,7 @@ func ForName(name string) (Kernel, error) {
 // Ref returns the reference kernel — the fixed, session-independent
 // arithmetic used wherever a result must not depend on SET
 // distance_kernel: bucket assignment (Insert and Delete must re-derive
-// the same bucket), index build/training, and test oracles.
+// the same bucket), k-means and PQ training, and test oracles.
 func Ref() Kernel {
 	kernelMu.RLock()
 	defer kernelMu.RUnlock()
@@ -187,43 +183,6 @@ func Default() Kernel {
 	return k
 }
 
-// NTParallel partitions the rows of A across nthreads goroutines, each
-// running kern.L2SqrNT on its slice. Row partitioning keeps every
-// (i, j) pair inside one serial kernel call, so the result is
-// bit-identical to the serial kern.L2SqrNT for any kernel. nthreads ≤ 0
-// means all CPUs.
-func NTParallel(kern Kernel, a []float32, m, k int, b []float32, n int, c []float32, nthreads int) {
-	if m < 8 || nthreads == 1 {
-		kern.L2SqrNT(a, m, k, b, n, c)
-		return
-	}
-	if nthreads <= 0 {
-		nthreads = runtime.GOMAXPROCS(0)
-	}
-	if nthreads > m/4 {
-		nthreads = m / 4
-	}
-	if nthreads <= 1 {
-		kern.L2SqrNT(a, m, k, b, n, c)
-		return
-	}
-	rowsPer := (m + nthreads - 1) / nthreads
-	var wg sync.WaitGroup
-	for t := 0; t < nthreads; t++ {
-		lo := t * rowsPer
-		if lo >= m {
-			break
-		}
-		hi := min(lo+rowsPer, m)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			kern.L2SqrNT(a[lo*k:hi*k], hi-lo, k, b, n, c[lo*n:hi*n])
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // refKernel is the PASE-style scalar baseline: one sequential
 // accumulator chain per pair, everywhere. Its batched forms delegate to
 // the blas L2 routines, whose per-pair chains are proven bit-equal to
@@ -241,11 +200,6 @@ func (refKernel) L2SqrBatch(q []float32, rows [][]float32, out []float32) {
 	for i, r := range rows {
 		out[i] = L2SqrRef(q, r)
 	}
-}
-
-// L2SqrNT implements Kernel.
-func (refKernel) L2SqrNT(a []float32, m, k int, b []float32, n int, c []float32) {
-	blas.L2SqrNT(a, m, k, b, n, c)
 }
 
 // L2SqrNTRows implements Kernel.
@@ -333,19 +287,6 @@ func (unrolledKernel) L2Sqr(x, y []float32) float32 {
 func (k unrolledKernel) L2SqrBatch(q []float32, rows [][]float32, out []float32) {
 	for i, r := range rows {
 		out[i] = k.L2Sqr(q, r)
-	}
-}
-
-// L2SqrNT implements Kernel.
-func (k unrolledKernel) L2SqrNT(a []float32, m, kk int, b []float32, n int, c []float32) {
-	for i0 := 0; i0 < m; i0 += 8 {
-		i1 := min(i0+8, m)
-		for j := 0; j < n; j++ {
-			brow := b[j*kk : (j+1)*kk]
-			for i := i0; i < i1; i++ {
-				c[i*n+j] = k.L2Sqr(a[i*kk:(i+1)*kk], brow)
-			}
-		}
 	}
 }
 

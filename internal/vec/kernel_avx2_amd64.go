@@ -13,9 +13,9 @@ package vec
 // so the summation order is a pure function of the vector length. There
 // is one full-precision assembly body, which scores a query against a
 // group of rows: the row-batch forms (L2SqrBatch, L2SqrNTRows) hand it a
-// page segment per call, the solo form hands it one row, and L2SqrNT
-// calls the solo form per pair — all over the one scalar tail, so a
-// batched distance is bit-identical to the solo one by construction.
+// page segment per call and the solo form hands it one row — all over
+// the one scalar tail, so a batched distance is bit-identical to the
+// solo one by construction.
 // Denormals are handled by hardware IEEE semantics (Go
 // does not set DAZ/FTZ in MXCSR), so no flush-to-zero divergence from
 // the scalar kernels.
@@ -145,19 +145,6 @@ func l2sqrRows(q []float32, rows [][]float32, out []float32, stride int) {
 // L2SqrBatch implements Kernel.
 func (avx2Kernel) L2SqrBatch(q []float32, rows [][]float32, out []float32) {
 	l2sqrRows(q, rows, out, 1)
-}
-
-// L2SqrNT implements Kernel.
-func (k avx2Kernel) L2SqrNT(a []float32, m, kk int, b []float32, n int, c []float32) {
-	for i0 := 0; i0 < m; i0 += 8 {
-		i1 := min(i0+8, m)
-		for j := 0; j < n; j++ {
-			brow := b[j*kk : (j+1)*kk]
-			for i := i0; i < i1; i++ {
-				c[i*n+j] = k.L2Sqr(a[i*kk:(i+1)*kk], brow)
-			}
-		}
-	}
 }
 
 // ntRowBlock is how many A rows one L2SqrNTRows assembly call covers

@@ -88,26 +88,6 @@ func BenchmarkKernelNTRows(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelNT(b *testing.B) {
-	// The multi-query probe shape: a bucketful of tuples (m rows)
-	// against a small batch of queries (n).
-	const m, n = 256, 8
-	for _, name := range RegisteredKernelNames() {
-		k, _ := ForName(name)
-		for _, d := range []int{128, 960} {
-			b.Run(fmt.Sprintf("%s/d=%d", name, d), func(b *testing.B) {
-				a := benchVecs(m, d)
-				bm := benchVecs(n, d)
-				c := make([]float32, m*n)
-				b.SetBytes(int64(4 * d * (m + n)))
-				for i := 0; i < b.N; i++ {
-					k.L2SqrNT(a, m, d, bm, n, c)
-				}
-			})
-		}
-	}
-}
-
 func BenchmarkKernelSQ8(b *testing.B) {
 	const rowsN = 256
 	for _, name := range RegisteredKernelNames() {

@@ -7,14 +7,15 @@ import (
 	"vecstudy/internal/blas"
 )
 
-// TestBlasL2SqrNTMatchesL2SqrRef pins the contract the serving-side
-// query coalescer depends on: blas.L2SqrNT must be bit-for-bit equal to
-// the per-pair L2SqrRef kernel the solo search paths use for centroid
-// scoring, for every batch size. (The blas package cannot import vec —
-// vec imports blas — so the cross-kernel assertion lives here.)
+// TestBlasL2SqrNTMatchesL2SqrRef pins the contract the ref kernel's
+// batched scan depends on: blas.L2SqrNTRows must be bit-for-bit equal
+// to the per-pair L2SqrRef kernel the solo paths score with, for every
+// batch size; m covers the 8-row, 4-row and 1-row bodies. (The blas
+// package cannot import vec — vec imports blas — so the cross-kernel
+// assertion lives here.)
 func TestBlasL2SqrNTMatchesL2SqrRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, m := range []int{1, 2, 4, 5, 13, 32} {
+	for _, m := range []int{1, 3, 4, 7, 8, 9, 17} {
 		for _, k := range []int{1, 96, 130} {
 			const n = 37
 			a := make([]float32, m*k)
@@ -25,8 +26,12 @@ func TestBlasL2SqrNTMatchesL2SqrRef(t *testing.T) {
 			for i := range b {
 				b[i] = rng.Float32()*2 - 1
 			}
+			rows := make([][]float32, m)
+			for i := range rows {
+				rows[i] = a[i*k:]
+			}
 			c := make([]float32, m*n)
-			blas.L2SqrNT(a, m, k, b, n, c)
+			blas.L2SqrNTRows(rows, k, b, n, c)
 			for i := 0; i < m; i++ {
 				for j := 0; j < n; j++ {
 					want := L2SqrRef(a[i*k:(i+1)*k], b[j*k:(j+1)*k])

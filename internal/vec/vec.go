@@ -18,7 +18,6 @@ package vec
 
 import (
 	"fmt"
-	"math"
 )
 
 // L2SqrRef computes squared Euclidean distance with a plain scalar loop.
@@ -78,9 +77,6 @@ func Dot(x, y []float32) float32 {
 // Norm2 returns the squared L2 norm of x.
 func Norm2(x []float32) float32 { return Dot(x, x) }
 
-// Norm returns the L2 norm of x.
-func Norm(x []float32) float32 { return float32(math.Sqrt(float64(Norm2(x)))) }
-
 // Norms2 computes the squared norms of n row vectors stored contiguously in
 // data (row-major, d columns), writing them into out. out must have length
 // ≥ n. It returns out[:n].
@@ -133,13 +129,6 @@ func (f *Flat) Append(x []float32) {
 		panic(fmt.Sprintf("vec: appending %d-dim row to %d-dim Flat", len(x), f.D))
 	}
 	f.Data = append(f.Data, x...)
-}
-
-// Clone returns a deep copy of the matrix.
-func (f *Flat) Clone() *Flat {
-	data := make([]float32, len(f.Data))
-	copy(data, f.Data)
-	return &Flat{D: f.D, Data: data}
 }
 
 // Bytes returns the in-memory footprint of the matrix payload.

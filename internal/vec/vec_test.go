@@ -75,10 +75,6 @@ func TestNormIdentities(t *testing.T) {
 	if got, want := float64(Norm2(x)), float64(Dot(x, x)); got != want {
 		t.Errorf("Norm2 = %v, Dot(x,x) = %v", got, want)
 	}
-	n := float64(Norm(x))
-	if !almostEqual(n*n, float64(Norm2(x)), 1e-5) {
-		t.Errorf("Norm² = %v, Norm2 = %v", n*n, Norm2(x))
-	}
 }
 
 func TestArgmin(t *testing.T) {
@@ -107,11 +103,6 @@ func TestFlatBasics(t *testing.T) {
 	}
 	if f.Bytes() != 24 {
 		t.Errorf("Bytes = %d, want 24", f.Bytes())
-	}
-	clone := f.Clone()
-	clone.Row(0)[0] = 99
-	if f.Row(0)[0] == 99 {
-		t.Error("Clone shares storage with original")
 	}
 	defer func() {
 		if recover() == nil {

@@ -160,13 +160,9 @@ func DecodeQuery(p []byte) string { return string(p) }
 
 // --- ResultHeader ---------------------------------------------------------
 
-// EncodeHeader encodes a THeader payload: the utility message and the
-// column names. The column count travels as a uint16, so wider headers
-// fail fast instead of truncating and mis-decoding on the peer.
-func EncodeHeader(msg string, cols []string) ([]byte, error) {
-	return appendHeader(nil, msg, cols)
-}
-
+// appendHeader appends a THeader payload to b: the utility message and
+// the column names. The column count travels as a uint16, so wider
+// headers fail fast instead of truncating and mis-decoding on the peer.
 func appendHeader(b []byte, msg string, cols []string) ([]byte, error) {
 	if len(cols) > math.MaxUint16 {
 		return nil, fmt.Errorf("wire: %d columns exceeds max %d", len(cols), math.MaxUint16)
@@ -218,13 +214,10 @@ const (
 	tagVector  = 'v' // []float32: u32 count + 4 bytes per element
 )
 
-// EncodeRow encodes one row of SQL output values. The supported dynamic
-// types are exactly those the SQL executor produces: nil, int32, int64,
-// float32, float64, string, []float32.
-func EncodeRow(vals []any) ([]byte, error) {
-	return appendRow(nil, vals)
-}
-
+// appendRow appends one row of SQL output values to b as a TRow
+// payload. The supported dynamic types are exactly those the SQL
+// executor produces: nil, int32, int64, float32, float64, string,
+// []float32.
 func appendRow(b []byte, vals []any) ([]byte, error) {
 	if len(vals) > math.MaxUint16 {
 		return nil, fmt.Errorf("wire: %d row values exceeds max %d", len(vals), math.MaxUint16)
@@ -402,8 +395,9 @@ func WriteResult(w io.Writer, res *Result) error {
 }
 
 // ReadResult reads frames until a result completes. A TError frame is
-// returned as (*Error) in err; any other protocol violation is a plain
-// error.
+// returned as (*Error) in err; any other protocol violation — a Done
+// frame that is not four bytes, or whose count differs from the rows
+// received — is a plain error.
 func ReadResult(r io.Reader) (*Result, error) {
 	var res *Result
 	for {
@@ -428,8 +422,15 @@ func ReadResult(r io.Reader) (*Result, error) {
 			}
 			res.Rows = append(res.Rows, vals)
 		case TDone:
+			rows, err := DecodeDone(payload)
+			if err != nil {
+				return nil, err
+			}
 			if res == nil {
 				res = &Result{} // Done without header: ping reply
+			}
+			if rows != len(res.Rows) {
+				return nil, fmt.Errorf("wire: done reports %d rows, received %d", rows, len(res.Rows))
 			}
 			return res, nil
 		case TError:

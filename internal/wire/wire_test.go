@@ -76,7 +76,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 		{"", []string{"id", "distance"}},
 		{"SET", []string{}},
 	} {
-		p, err := EncodeHeader(tc.msg, tc.cols)
+		p, err := appendHeader(nil, tc.msg, tc.cols)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -105,7 +105,7 @@ func TestRowRoundTripAllTypes(t *testing.T) {
 		"hello 'world'",
 		[]float32{0.1, -0.2, float32(math.Inf(1))},
 	}
-	p, err := EncodeRow(row)
+	p, err := appendRow(nil, row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRowRoundTripAllTypes(t *testing.T) {
 }
 
 func TestRowRejectsUnknownType(t *testing.T) {
-	if _, err := EncodeRow([]any{struct{}{}}); err == nil {
+	if _, err := appendRow(nil, []any{struct{}{}}); err == nil {
 		t.Error("struct value encoded without error")
 	}
 }
@@ -127,15 +127,15 @@ func TestRowRejectsUnknownType(t *testing.T) {
 func TestEncodeRejectsUint16Overflow(t *testing.T) {
 	// Counts travel as uint16; one past the max must fail fast rather
 	// than truncate and mis-decode on the peer.
-	if _, err := EncodeHeader("", make([]string, math.MaxUint16+1)); err == nil ||
+	if _, err := appendHeader(nil, "", make([]string, math.MaxUint16+1)); err == nil ||
 		!strings.Contains(err.Error(), "exceeds max") {
 		t.Errorf("oversized header err = %v", err)
 	}
-	if _, err := EncodeRow(make([]any, math.MaxUint16+1)); err == nil ||
+	if _, err := appendRow(nil, make([]any, math.MaxUint16+1)); err == nil ||
 		!strings.Contains(err.Error(), "exceeds max") {
 		t.Errorf("oversized row err = %v", err)
 	}
-	if p, err := EncodeHeader("", make([]string, math.MaxUint16)); err != nil {
+	if p, err := appendHeader(nil, "", make([]string, math.MaxUint16)); err != nil {
 		t.Errorf("header at the limit rejected: %v", err)
 	} else if _, cols, err := DecodeHeader(p); err != nil || len(cols) != math.MaxUint16 {
 		t.Errorf("header at the limit round trip: %d cols, %v", len(cols), err)
@@ -143,7 +143,7 @@ func TestEncodeRejectsUint16Overflow(t *testing.T) {
 }
 
 func TestRowRejectsCorruptPayload(t *testing.T) {
-	p, err := EncodeRow([]any{int64(9), "abc"})
+	p, err := appendRow(nil, []any{int64(9), "abc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestResultErrorFrame(t *testing.T) {
 
 func TestResultRowBeforeHeaderRejected(t *testing.T) {
 	var buf bytes.Buffer
-	p, _ := EncodeRow([]any{int32(1)})
+	p, _ := appendRow(nil, []any{int32(1)})
 	if err := WriteFrame(&buf, TRow, p); err != nil {
 		t.Fatal(err)
 	}
@@ -223,5 +223,43 @@ func TestPingReplyIsBareDone(t *testing.T) {
 	res, err := ReadResult(&buf)
 	if err != nil || len(res.Rows) != 0 {
 		t.Errorf("bare Done: res=%v err=%v", res, err)
+	}
+}
+
+// writeRowsThenDone writes a header, nrows one-column rows, and a Done
+// frame carrying the given payload.
+func writeRowsThenDone(t *testing.T, nrows int, done []byte) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	h, _ := appendHeader(nil, "SELECT", []string{"id"})
+	if err := WriteFrame(&buf, THeader, h); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nrows; i++ {
+		p, _ := appendRow(nil, []any{int64(i)})
+		if err := WriteFrame(&buf, TRow, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := WriteFrame(&buf, TDone, done); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+func TestResultDoneCountMismatchRejected(t *testing.T) {
+	if _, err := ReadResult(writeRowsThenDone(t, 2, EncodeDone(3))); err == nil ||
+		!strings.Contains(err.Error(), "done reports 3 rows, received 2") {
+		t.Errorf("Done(3) after 2 rows: err = %v", err)
+	}
+	if res, err := ReadResult(writeRowsThenDone(t, 2, EncodeDone(2))); err != nil || len(res.Rows) != 2 {
+		t.Errorf("Done(2) after 2 rows: res=%v err=%v", res, err)
+	}
+}
+
+func TestResultShortDoneRejected(t *testing.T) {
+	if _, err := ReadResult(writeRowsThenDone(t, 0, []byte{0, 0, 0})); err == nil ||
+		!strings.Contains(err.Error(), "done payload is 3 bytes") {
+		t.Errorf("3-byte Done: err = %v", err)
 	}
 }
